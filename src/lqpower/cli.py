@@ -7,13 +7,17 @@
     lqpower figure    {fig2|fig3|fig4} [--plot] [--out DIR]
 
 Exit status is 0 on success; any invalid input produces a single
-"error: ..." line on stderr and a nonzero exit.
+"error: ..." line on stderr and a nonzero exit.  Each warning, such as an
+optimizer run that stops at k_max short of a fixed point, prints one
+"warning: ..." line on stderr and changes neither the exit status nor the
+output files.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys as _sys
+import warnings
 
 from . import experiments as exp
 
@@ -78,7 +82,19 @@ def _parse_values(spec: str) -> list[float]:
     return [float(v) for v in spec.split(",") if v.strip()]
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=_sys.stderr)
+
+
 def main(argv=None) -> int:
+    with warnings.catch_warnings():
+        # every occurrence, not only the first one from each line of code
+        warnings.simplefilter("always", RuntimeWarning)
+        warnings.showwarning = _print_warning
+        return _main(argv)
+
+
+def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         preset = getattr(args, "preset", None)

@@ -54,8 +54,7 @@ _DEFAULTS = {
     "sys": {"a": 1.1, "b": -1.0, "k": 1.0, "q": 1.0, "r": 0.5,
             "sigma_x2": 1.0, "sigma_d2": 0.0, "T": 30},
     "ch": {"gamma": 1.0, "sigma2": 1.0, "gbar": 1.0, "p_max": 3.0},
-    "opt": {"k_max": 200, "eps_cost": 1e-10, "root_tol": 1e-12,
-            "ex2_1": None, "init": "zero"},
+    "opt": {"k_max": None, "eps_cost": 1e-10, "ex2_1": None, "init": "zero"},
     "sim": {"n_samples": 10000, "seed": 0, "channel_model": "bernoulli",
             "initial_state": "gaussian", "x1": 1.0},
     "preset": None,
@@ -66,7 +65,7 @@ _CASTERS = {
     "sys": {"a": float, "b": float, "k": float, "q": float, "r": float,
             "sigma_x2": float, "sigma_d2": float, "T": int},
     "ch": {"gamma": float, "sigma2": float, "gbar": float, "p_max": float},
-    "opt": {"k_max": int, "eps_cost": float, "root_tol": float,
+    "opt": {"k_max": lambda v: None if v is None else int(v), "eps_cost": float,
             "ex2_1": lambda v: None if v is None else float(v), "init": str},
     "sim": {"n_samples": int, "seed": int, "channel_model": str,
             "initial_state": str, "x1": float},

@@ -1,23 +1,27 @@
 """Iterative transmit-power policy optimization by per-slot improvement.
 
 The expected combined cost is multilinear in the per-slot success
-probabilities, so it is neither convex nor quasi-convex, but its slope in any
-single coordinate has a one-dimensional structure: a constant part set by the
-recursion tables plus the strictly convex-shaped power term
-theta/(pi ln^2 pi).  That term attains its minimum at pi = e^-2, which makes
-the per-slot minimizer a member of a two-point candidate set {0, min(pi0,
-pi_max)} where pi0 is the unique stationary point, in (e^-2, pi_max), of the
-slope, found here by bisection.  Each outer iteration recomputes the tables
-under the incumbent policy, builds the per-slot candidates, and adopts the
-best single-coordinate replacement, which drives the cost monotonically down.
+probabilities, so it is neither convex nor quasi-convex, but moving slot t
+alone from pi_t to v changes it by exactly (v - pi_t) A_t + P(v) - P(pi_t),
+where A_t = ex2[t] (r k^2 + c fbar[t+1]) comes from the recursion tables and
+P(pi) = -theta/ln pi is the transmit power.  The slope A_t + theta/(pi ln^2 pi)
+is smallest at pi = e^-2, which makes the per-slot minimizer a member of a
+two-point candidate set {0, min(pi0, pi_max)} where pi0, the stationary point
+in (e^-2, 1), has a closed form through the Lambert W function.  Each outer
+iteration computes the tables under the incumbent policy, scores the
+candidates of every slot at once by that exact cost change, and adopts the
+best single-coordinate replacement: the cost descends monotonically and one
+iteration costs O(T).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import lambertw
 
 from .model import (
     ChannelParams,
@@ -43,27 +47,25 @@ __all__ = [
 TIE_TOL = 1e-12
 
 _E_MINUS_2 = math.exp(-2.0)
-_MAX_BISECTION_STEPS = 200
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs of the outer improvement loop."""
 
-    k_max: int = 200          # maximum outer iterations
+    k_max: int | None = None  # maximum outer iterations; None -> max(200, 10 T)
     eps_cost: float = 1e-10   # relative improvement quantum; a sweep keeps
                               # the incumbent below it, which stops the loop
-    root_tol: float = 1e-12   # bisection tolerance on the stationary point
     ex2_1: float | None = None  # initial second moment E[x_1^2]; None -> sigma_x2
     init: str = "zero"        # starting policy: "zero" or "full"
 
     def __post_init__(self):
-        if not (isinstance(self.k_max, (int, np.integer)) and self.k_max >= 1):
-            raise ValueError(f"opt.k_max must be an integer >= 1 (got {self.k_max})")
+        if not (self.k_max is None or (
+                isinstance(self.k_max, (int, np.integer)) and self.k_max >= 1)):
+            raise ValueError(
+                f"opt.k_max must be null or an integer >= 1 (got {self.k_max})")
         if not self.eps_cost > 0:
             raise ValueError(f"opt.eps_cost must be > 0 (got {self.eps_cost})")
-        if not self.root_tol > 0:
-            raise ValueError(f"opt.root_tol must be > 0 (got {self.root_tol})")
         if self.ex2_1 is not None and self.ex2_1 < 0:
             raise ValueError(f"opt.ex2_1 must be >= 0 (got {self.ex2_1})")
         if self.init not in ("zero", "full"):
@@ -89,63 +91,59 @@ class OptimizationTrace:
         self.cost = float(self.cost_history[-1])
 
 
-def stationary_success(A: float, ch: ChannelParams, tol: float) -> float | None:
-    """Stationary success probability pi0 of the slope, if one exists.
+def stationary_success(
+    A: float | np.ndarray, ch: ChannelParams
+) -> float | np.ndarray | None:
+    """Stationary success probability pi0 of the slope, where one exists.
 
-    Solves A + theta/(pi ln^2 pi) = 0 on the interval (e^-2, pi_max), where
-    the power term is strictly increasing so bisection cannot fail.  Returns
-    None when the equation has no root there: either the slope is still
-    negative at pi_max (the cap is the candidate) or it is already
+    Solves A + theta/(pi ln^2 pi) = 0 on the interval (e^-2, pi_max) in
+    closed form: with u = ln pi it reads (u/2) e^(u/2) = -sqrt(-theta/A)/2,
+    so pi0 = exp(2 W0(-sqrt(-theta/A)/2)).  There is no root there when the
+    slope is still negative at pi_max (the cap is the candidate) or already
     nonnegative at e^-2 (no descent direction beyond the candidate pair).
+    A scalar A gives a float, or None without a root; an array A gives an
+    array with NaN where there is no root.
     """
-    if not tol > 0:
-        raise ValueError(f"bisection tolerance must be > 0 (got {tol})")
-    lo, hi = _E_MINUS_2, ch.pi_max
-    if hi <= lo:
-        return None  # power cap keeps the whole feasible range left of e^-2
-    theta = ch.theta
-    f_lo = A + theta * math.e**2 / 4.0          # slope value at e^-2
-    f_hi = A + theta / (hi * math.log(hi) ** 2)
-    if f_hi <= 0.0 or f_lo >= 0.0:
-        return None
-    for _ in range(_MAX_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if A + theta / (mid * math.log(mid) ** 2) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
+    A = np.asarray(A, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pi0 = np.exp(2.0 * lambertw(-0.5 * np.sqrt(-ch.theta / A)).real)
+    roots = np.where((A + ch.theta * math.e**2 / 4.0 < 0.0) & (pi0 < ch.pi_max),
+                     pi0, np.nan)
+    if roots.ndim:
+        return roots
+    return None if math.isnan(roots) else float(roots)
 
 
 def slot_candidates(
     sys: SystemParams,
     ch: ChannelParams,
     tables: RecursionTables,
-    t: int,
-    current_pi_t: float,
-    root_tol: float = 1e-12,
-) -> tuple[float, ...]:
-    """Candidate success probabilities for slot t given frozen tables.
+    pi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate success probabilities of every slot and their cost changes.
 
-    The slope in pi_t is A + theta/(pi_t ln^2 pi_t) with the constant
-    A = ex2[t] (r k^2 + (2abk + b^2 k^2) fbar[t+1]).  Its minimum over the
+    The slope in pi_t is A_t + theta/(pi_t ln^2 pi_t) with the constant
+    A_t = ex2[t] (r k^2 + (2abk + b^2 k^2) fbar[t+1]).  Its minimum over the
     feasible range sits at pi' = min(e^-2, pi_max); when the slope there is
     negative the slot minimizer is 0 or min(pi0, pi_max), otherwise the slot
-    keeps its current value.
+    keeps its current value.  Returns (cands, deltas), both of shape (T, 2):
+    row t holds (0, min(pi0, pi_max)), or (pi_t, pi_t) for a kept slot, and
+    the exact cost change (v - pi_t) A_t + P(v) - P(pi_t) of moving slot t
+    alone to each, against the tables of pi.
     """
     if tables.ex2 is None:
         raise ValueError("tables.ex2 missing: run the forward pass first")
-    A = tables.ex2[t] * (
-        sys.r * sys.k**2 + sys.closed_loop_coeff * tables.fbar[t + 1])
+    pi = np.asarray(pi, dtype=float)
+    A = tables.ex2 * (sys.r * sys.k**2 + sys.closed_loop_coeff * tables.fbar[1:])
     pi_edge = min(_E_MINUS_2, ch.pi_max)
-    min_slope = A + ch.theta / (pi_edge * math.log(pi_edge) ** 2)
-    if min_slope >= 0.0:
-        return (current_pi_t,)
-    pi0 = stationary_success(A, ch, root_tol)
-    top = ch.pi_max if pi0 is None else min(pi0, ch.pi_max)
-    return (0.0, top)
+    descend = A + ch.theta / (pi_edge * math.log(pi_edge) ** 2) < 0.0
+    pi0 = stationary_success(A, ch)
+    pair = np.stack([np.zeros_like(pi), np.where(np.isnan(pi0), ch.pi_max, pi0)], 1)
+    cands = np.where(descend[:, None], pair, pi[:, None])
+    with np.errstate(divide="ignore"):  # -theta/ln(0) = 0: no power
+        deltas = ((cands - pi[:, None]) * A[:, None]
+                  - ch.theta / np.log(cands) + ch.theta / np.log(pi)[:, None])
+    return cands, deltas
 
 
 def coordinate_sweep(
@@ -156,38 +154,32 @@ def coordinate_sweep(
 ) -> tuple[np.ndarray, float]:
     """One outer iteration: best single-coordinate replacement of a policy.
 
-    Computes the recursion tables under the incumbent, resolves the per-slot
-    candidate winner for every t against the frozen tables, and adopts the
-    single-coordinate modification with the lowest exact expected cost.  Ties
+    Computes the recursion tables under the incumbent, scores every slot's
+    candidates by their exact cost change against the frozen tables, and
+    adopts the single-coordinate modification with the lowest cost.  Ties
     among modifications go to the smallest slot index; the incumbent is kept
     unless the winner improves it by at least cfg.eps_cost relative, which
-    makes a converged policy an exact fixed point of this function.
+    makes a converged policy an exact fixed point of this function.  The
+    returned cost is a full evaluation of the returned policy.
     """
     pi = policy_to_success(policy, ch)
     ex2_1 = sys.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1
     tables = compute_tables(sys, ch, pi, ex2_1)
     incumbent_cost = expected_cost(sys, ch, pi, ex2_1)
+    cands, deltas = slot_candidates(sys, ch, tables, pi)
+    pick = np.argmin(deltas, axis=1)  # within a slot the first candidate wins ties
+    slot_cost = incumbent_cost + deltas[np.arange(sys.T), pick]
 
-    best_t, best_v, best_cost = None, None, math.inf
-    for t in range(sys.T):
-        slot_v, slot_cost = None, math.inf
-        for v in slot_candidates(sys, ch, tables, t, pi[t], cfg.root_tol):
-            if v == pi[t]:
-                trial_cost = incumbent_cost
-            else:
-                trial = pi.copy()
-                trial[t] = v
-                trial_cost = expected_cost(sys, ch, trial, ex2_1)
-            if trial_cost < slot_cost:
-                slot_v, slot_cost = v, trial_cost
+    best_t, best_cost = 0, slot_cost[0]
+    for t, cost in enumerate(slot_cost.tolist()):
         # a later slot displaces the running winner only when strictly
         # better beyond the tie tolerance
-        if best_t is None or slot_cost < best_cost - TIE_TOL * abs(best_cost):
-            best_t, best_v, best_cost = t, slot_v, slot_cost
+        if cost < best_cost - TIE_TOL * abs(best_cost):
+            best_t, best_cost = t, cost
     if best_cost < incumbent_cost - cfg.eps_cost * abs(incumbent_cost):
         best_pi = pi.copy()
-        best_pi[best_t] = best_v
-        return success_to_policy(best_pi, ch), best_cost
+        best_pi[best_t] = cands[best_t, pick[best_t]]
+        return success_to_policy(best_pi, ch), expected_cost(sys, ch, best_pi, ex2_1)
     return np.array(policy, dtype=float), incumbent_cost
 
 
@@ -199,8 +191,11 @@ def optimize_policy(
     Starts from the all-zero policy (or full power when cfg.init = "full";
     the terminal slot starts at 0 either way since transmitting there can
     never pay) and sweeps until no coordinate improves the cost by at least
-    cfg.eps_cost relative, or cfg.k_max iterations have run.
+    cfg.eps_cost relative, or k_max iterations have run.  Each iteration
+    changes one slot, so k_max defaults to max(200, 10 T).  Stopping at
+    k_max short of a fixed point emits a RuntimeWarning.
     """
+    k_max = max(200, 10 * sys.T) if cfg.k_max is None else cfg.k_max
     if cfg.init == "zero":
         policy = np.zeros(sys.T)
     else:
@@ -210,13 +205,18 @@ def optimize_policy(
     history = [expected_cost(sys, ch, policy_to_success(policy, ch), ex2_1)]
     converged = False
     iterations = 0
-    for iterations in range(1, cfg.k_max + 1):
+    for iterations in range(1, k_max + 1):
         new_policy, new_cost = coordinate_sweep(sys, ch, cfg, policy)
         history.append(new_cost)
         if np.array_equal(new_policy, policy):
             converged = True
             break
         policy = new_policy
+    if not converged:
+        warnings.warn(
+            f"optimizer stopped after {iterations} iterations at k_max = {k_max} "
+            f"without reaching a fixed point (T = {sys.T})",
+            RuntimeWarning, stacklevel=2)
     return OptimizationTrace(
         policy=policy,
         success=policy_to_success(policy, ch),

@@ -6,9 +6,20 @@ triple loops so they share no code path with the library's recursions.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from lqpower import ChannelParams, SystemParams, expected_cost
+from lqpower import (
+    ChannelParams,
+    OptimizerConfig,
+    SystemParams,
+    compute_tables,
+    expected_cost,
+    policy_to_success,
+    success_to_policy,
+)
+from lqpower.optimizer import TIE_TOL
 
 
 def _pad(pi):
@@ -120,3 +131,63 @@ def interior_success(rng, ch, T) -> np.ndarray:
     """Success vector bounded away from 0, 1 and the cap (for FD checks)."""
     lo = max(0.03, 0.05 * ch.pi_max)
     return rng.uniform(lo, 0.97 * ch.pi_max, T)
+
+
+def reference_candidates(sys, ch, tables, t, pi_t) -> tuple[float, ...]:
+    """Two-point candidate set of slot t, its stationary point by bisection."""
+    A = tables.ex2[t] * (
+        sys.r * sys.k**2 + sys.closed_loop_coeff * tables.fbar[t + 1])
+
+    def slope(p):
+        return A + ch.theta / (p * math.log(p) ** 2)
+
+    lo, hi = math.exp(-2.0), ch.pi_max
+    if slope(min(lo, hi)) >= 0.0:
+        return (pi_t,)
+    if hi <= lo or slope(hi) <= 0.0:
+        return (0.0, hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12:
+            break
+    return (0.0, 0.5 * (lo + hi))
+
+
+def reference_sweep(
+    sys: SystemParams, ch: ChannelParams, cfg: OptimizerConfig, policy
+) -> tuple[np.ndarray, float]:
+    """One outer iteration by full re-evaluation of every candidate.
+
+    The O(T^2) reference for the library's coordinate sweep: every
+    single-slot replacement is scored by a full expected_cost, with the same
+    tie rule (the first candidate of a slot, the smallest slot and the
+    incumbent win ties) and the same cfg.eps_cost stop.
+    """
+    pi = policy_to_success(policy, ch)
+    ex2_1 = sys.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1
+    tables = compute_tables(sys, ch, pi, ex2_1)
+    incumbent_cost = expected_cost(sys, ch, pi, ex2_1)
+
+    best_t, best_v, best_cost = None, None, math.inf
+    for t in range(sys.T):
+        slot_v, slot_cost = None, math.inf
+        for v in reference_candidates(sys, ch, tables, t, pi[t]):
+            if v == pi[t]:
+                trial_cost = incumbent_cost
+            else:
+                trial = pi.copy()
+                trial[t] = v
+                trial_cost = expected_cost(sys, ch, trial, ex2_1)
+            if trial_cost < slot_cost:
+                slot_v, slot_cost = v, trial_cost
+        if best_t is None or slot_cost < best_cost - TIE_TOL * abs(best_cost):
+            best_t, best_v, best_cost = t, slot_v, slot_cost
+    if best_cost < incumbent_cost - cfg.eps_cost * abs(incumbent_cost):
+        best_pi = pi.copy()
+        best_pi[best_t] = best_v
+        return success_to_policy(best_pi, ch), best_cost
+    return np.array(policy, dtype=float), incumbent_cost

@@ -25,7 +25,18 @@ class TestConfigLoading:
     def test_defaults(self):
         cfg = load_config()
         assert cfg.sys.T == 30 and cfg.ch.p_max == 3.0
-        assert cfg.opt.k_max == 200 and cfg.sim.n_samples == 10000
+        assert cfg.opt.k_max is None and cfg.sim.n_samples == 10000
+
+    def test_k_max_null_or_integer(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"opt": {"k_max": None}}))
+        assert load_config(path=path).opt.k_max is None
+        path.write_text(json.dumps({"opt": {"k_max": 50}}))
+        assert load_config(path=path).opt.k_max == 50
+        # the bisection tolerance is gone with the bisection
+        path.write_text(json.dumps({"opt": {"root_tol": 1e-12}}))
+        with pytest.raises(ConfigError, match="unknown key opt.root_tol"):
+            load_config(path=path)
 
     def test_preset_equals_explicit_parameters(self, tmp_path):
         explicit = tmp_path / "explicit.json"
@@ -96,6 +107,25 @@ class TestOptimizeCommand:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
         assert "sys.q" in err
+
+    def test_iteration_cap_warns_on_stderr(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "fig2", "opt": {"k_max": 3}}))
+        for out in ("a", "b"):
+            rc = main(["sweep", "--config", str(cfg), "--param", "q",
+                       "--values", "1,2", "--out", str(tmp_path / out)])
+            assert rc == 0
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 2  # one line per run that stopped short
+            for line in err:
+                assert line.startswith("warning: ")
+                assert "k_max = 3" in line and "T = 30" in line
+        # nothing about it lands in the output dir, which stays reproducible
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == ["index.csv", "policy_q_1.csv", "policy_q_2.csv"]
+        for name in names:
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
 
     def test_csv_round_trip_precision(self, tmp_path):
         from lqpower import optimize_policy

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +18,13 @@ from lqpower import (
     slot_candidates,
     stationary_success,
 )
-from oracles import random_channel, random_system
+from lqpower.experiments import (
+    FIG2_VARIANTS,
+    FIG3_SIGMA_D2_VALUES,
+    FIG4_HORIZONS,
+    load_config,
+)
+from oracles import random_channel, random_system, reference_sweep
 
 CH = ChannelParams(gamma=1.0, sigma2=1.0, gbar=1.0, p_max=3.0)
 
@@ -28,12 +36,12 @@ CFG = OptimizerConfig(ex2_1=1.0)
 class TestStationarySuccess:
     def test_analytic_construction(self):
         # theta/(pi ln^2 pi) equals e at pi = 1/e, so A = -e balances there
-        root = stationary_success(-math.e, CH, 1e-12)
+        root = stationary_success(-math.e, CH)
         assert root == pytest.approx(math.exp(-1), abs=1e-9)
 
-    def test_bisection_root(self):
+    def test_closed_form_root(self):
         # A = -5 places the root where pi ln^2 pi = 0.2
-        root = stationary_success(-5.0, CH, 1e-12)
+        root = stationary_success(-5.0, CH)
         assert root == pytest.approx(0.5459, abs=1e-4)
         assert root * math.log(root) ** 2 == pytest.approx(0.2, abs=1e-10)
 
@@ -41,20 +49,27 @@ class TestStationarySuccess:
         # endpoint slope -13 + 9 e^(1/3) < 0: the cap is the candidate
         assert CH.theta / (CH.pi_max * math.log(CH.pi_max) ** 2) == pytest.approx(
             9 * math.exp(1 / 3), rel=1e-12)
-        assert stationary_success(-13.0, CH, 1e-12) is None
+        assert stationary_success(-13.0, CH) is None
 
     def test_slope_nonnegative_at_left_edge(self):
         # A + theta e^2/4 >= 0 leaves no interior root
-        assert stationary_success(-1.0, CH, 1e-12) is None
+        assert stationary_success(-1.0, CH) is None
 
     def test_empty_interval_when_cap_below_e_minus_2(self):
         ch = ChannelParams(gamma=1.0, sigma2=1.0, gbar=1.0, p_max=0.4)
         assert ch.pi_max < math.exp(-2)
-        assert stationary_success(-50.0, ch, 1e-12) is None
+        assert stationary_success(-50.0, ch) is None
 
-    def test_invalid_tolerance(self):
-        with pytest.raises(ValueError):
-            stationary_success(-5.0, CH, 0.0)
+    def test_vectorised_matches_scalar(self):
+        # one array call gives the scalar roots, NaN where a scalar gives None
+        A = np.array([-math.e, -5.0, -13.0, -1.0, 0.0, 2.0])
+        roots = stationary_success(A, CH)
+        for a, root in zip(A, roots):
+            scalar = stationary_success(a, CH)
+            if scalar is None:
+                assert math.isnan(root)
+            else:
+                assert root == scalar
 
     def test_residual_and_bracket_random(self):
         rng = np.random.default_rng(71)
@@ -66,7 +81,7 @@ class TestStationarySuccess:
             if not g_lo < g_hi:
                 continue
             A = -rng.uniform(g_lo, g_hi)
-            root = stationary_success(A, ch, 1e-12)
+            root = stationary_success(A, ch)
             if root is None:
                 continue  # A drawn at an endpoint, no strict sign change
             assert math.exp(-2) < root < ch.pi_max
@@ -84,7 +99,9 @@ class TestSlotCandidates:
         s = SystemParams(a=1.1, b=-1.0, k=1.0, q=1.0, r=0.5,
                          sigma_x2=1.0, sigma_d2=0.0, T=1)
         tab = self._tables(s, np.zeros(1))
-        assert slot_candidates(s, CH, tab, 0, 0.0) == (0.0,)
+        cands, deltas = slot_candidates(s, CH, tab, np.zeros(1))
+        assert cands.tolist() == [[0.0, 0.0]]
+        assert deltas.tolist() == [[0.0, 0.0]]
 
     def test_interior_root_candidates(self):
         # craft tables so A = -e exactly; candidates are {0, 1/e}
@@ -93,7 +110,7 @@ class TestSlotCandidates:
         tab = self._tables(s, np.zeros(2))
         tab.fbar[1] = (1.0 + math.e) / 1.2
         tab.ex2[0] = 1.0
-        cands = slot_candidates(s, CH, tab, 0, 0.0)
+        cands = slot_candidates(s, CH, tab, np.zeros(2))[0][0]
         assert cands[0] == 0.0
         assert cands[1] == pytest.approx(math.exp(-1), abs=1e-9)
 
@@ -104,8 +121,29 @@ class TestSlotCandidates:
         tab = self._tables(s, np.zeros(2))
         tab.fbar[1] = 14.0 / 1.2
         tab.ex2[0] = 1.0
-        cands = slot_candidates(s, CH, tab, 0, 0.0)
-        assert cands == (0.0, CH.pi_max)
+        cands = slot_candidates(s, CH, tab, np.zeros(2))[0][0]
+        assert cands.tolist() == [0.0, CH.pi_max]
+
+    def test_deltas_match_full_evaluation(self):
+        # (v - pi_t) A_t + P(v) - P(pi_t) is the exact cost change
+        rng = np.random.default_rng(203)
+        checked = 0
+        for _ in range(120):
+            s = random_system(rng, t_max=12)
+            ch = random_channel(rng)
+            pi = rng.uniform(0, ch.pi_max, s.T)
+            pi[rng.random(s.T) < 0.3] = 0.0
+            incumbent = expected_cost(s, ch, pi)
+            cands, deltas = slot_candidates(
+                s, ch, compute_tables(s, ch, pi, s.sigma_x2), pi)
+            for t in range(s.T):
+                for v, delta in zip(cands[t], deltas[t]):
+                    trial = pi.copy()
+                    trial[t] = v
+                    full = expected_cost(s, ch, trial)
+                    assert abs(incumbent + delta - full) <= 1e-12 * abs(full)
+                    checked += v != pi[t]
+        assert checked > 150
 
 
 class TestCandidateAnalysisAgainstGridScan:
@@ -121,7 +159,7 @@ class TestCandidateAnalysisAgainstGridScan:
             pi[rng.random(s.T) < 0.3] = 0.0
             tab = compute_tables(s, ch, pi, s.sigma_x2)
             t = int(rng.integers(0, s.T))
-            cands = slot_candidates(s, ch, tab, t, pi[t])
+            cands = slot_candidates(s, ch, tab, pi)[0][t]
 
             grid = np.linspace(0.0, ch.pi_max, 1001)
             costs = np.empty_like(grid)
@@ -130,13 +168,14 @@ class TestCandidateAnalysisAgainstGridScan:
                 trial[t] = v
                 costs[i] = expected_cost(s, ch, trial)
 
-            if len(cands) == 2:
+            if cands[0] != cands[1]:
                 best = min(expected_cost(s, ch,
                                          np.where(np.arange(s.T) == t, v, pi))
                            for v in cands)
                 assert best <= costs.min() + 1e-11 * max(1.0, abs(costs.min()))
                 checked_pair += 1
             else:
+                assert cands.tolist() == [pi[t], pi[t]]
                 # keep branch fires only when the cost never decreases in pi_t
                 assert np.all(np.diff(costs)
                               >= -1e-11 * np.abs(costs).max())
@@ -233,9 +272,29 @@ class TestOptimizePolicy:
         assert trace.cost < expected_cost(s, CH, np.zeros(30), 1.0)
 
     def test_iteration_cap_reported(self):
-        trace = optimize_policy(NOMINAL, CH, OptimizerConfig(k_max=3, ex2_1=1.0))
+        with pytest.warns(RuntimeWarning) as caught:
+            trace = optimize_policy(NOMINAL, CH, OptimizerConfig(k_max=3, ex2_1=1.0))
         assert trace.iterations == 3
         assert not trace.converged
+        assert len(caught) == 1
+        message = str(caught[0].message)
+        assert "T = 30" in message
+        assert "after 3 iterations" in message and "k_max = 3" in message
+        # a run that reaches its fixed point stays quiet
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert optimize_policy(NOMINAL, CH, CFG).converged
+
+    def test_default_k_max_scales_with_horizon(self):
+        # each iteration changes one slot: fig4 at T = 100 needs more than
+        # 200 iterations, within the default max(200, 10 T)
+        s = SystemParams(a=1.1, b=-1.0, k=1.8, q=1.0, r=0.5,
+                         sigma_x2=1.0, sigma_d2=0.05, T=100)
+        trace = optimize_policy(s, CH, CFG)
+        assert trace.converged and 200 < trace.iterations <= 1000
+        with pytest.warns(RuntimeWarning, match="k_max = 200"):
+            capped = optimize_policy(s, CH, replace(CFG, k_max=200))
+        assert capped.iterations == 200
 
     def test_tiny_power_cap_keeps_feasible_range_below_e_minus_2(self):
         # pi_max < e^-2 leaves no interior stationary point; candidates
@@ -257,7 +316,80 @@ class TestOptimizePolicy:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="k_max"):
             OptimizerConfig(k_max=0)
+        with pytest.raises(ValueError, match="k_max"):
+            OptimizerConfig(k_max=2.5)
         with pytest.raises(ValueError, match="eps_cost"):
             OptimizerConfig(eps_cost=0.0)
         with pytest.raises(ValueError, match="init"):
             OptimizerConfig(init="warm")
+
+
+def _descent(sweep, s, ch, cfg):
+    """The outer loop of optimize_policy over a given sweep function.
+
+    Returns the slot changed by each iteration, the cost history and the
+    policies from the start to the end.
+    """
+    policy = np.zeros(s.T) if cfg.init == "zero" else np.full(s.T, ch.p_max)
+    policy[-1] = 0.0
+    ex2_1 = s.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1
+    slots, policies = [], [policy]
+    costs = [expected_cost(s, ch, policy_to_success(policy, ch), ex2_1)]
+    for _ in range(max(200, 10 * s.T)):
+        new_policy, cost = sweep(s, ch, cfg, policy)
+        costs.append(cost)
+        step = np.abs(new_policy - policy)
+        if not step.any():
+            break
+        # the power <-> success round trip may move other slots by ulps
+        t = int(np.argmax(step))
+        assert np.all(np.delete(step, t) <= 1e-12 * ch.p_max)
+        slots.append(t)
+        policies.append(new_policy)
+        policy = new_policy
+    return slots, np.array(costs), policies
+
+
+def _assert_same_trajectory(s, ch, cfg):
+    trace = optimize_policy(s, ch, cfg)
+    slots, costs, policies = _descent(coordinate_sweep, s, ch, cfg)
+    ref_slots, ref_costs, ref_policies = _descent(reference_sweep, s, ch, cfg)
+    assert trace.converged
+    assert trace.iterations == len(ref_costs) - 1 == len(costs) - 1
+    assert np.array_equal(trace.cost_history, costs)
+    assert np.array_equal(trace.policy, policies[-1])
+    assert slots == ref_slots
+    np.testing.assert_allclose(costs, ref_costs, rtol=1e-12, atol=0)
+    for p, ref in zip(policies, ref_policies):
+        np.testing.assert_allclose(p, ref, rtol=0, atol=1e-9)
+
+
+class TestTrajectoryMatchesReferenceSweep:
+    """The exact-delta sweep retraces the full re-evaluation sweep."""
+
+    @pytest.mark.parametrize("variant", list(FIG2_VARIANTS))
+    def test_fig2_variants(self, variant):
+        cfg = load_config(preset="fig2")
+        over = FIG2_VARIANTS[variant]
+        ch = replace(cfg.ch, **{k: v for k, v in over.items() if k == "p_max"})
+        s = replace(cfg.sys, **{k: v for k, v in over.items() if k != "p_max"})
+        _assert_same_trajectory(s, ch, cfg.opt)
+
+    @pytest.mark.parametrize("sigma_d2", FIG3_SIGMA_D2_VALUES)
+    def test_fig3_sigma_d2(self, sigma_d2):
+        cfg = load_config(preset="fig3")
+        _assert_same_trajectory(replace(cfg.sys, sigma_d2=sigma_d2), cfg.ch, cfg.opt)
+
+    def test_fig4_horizons(self):
+        cfg = load_config(preset="fig4")
+        for T in FIG4_HORIZONS:
+            _assert_same_trajectory(replace(cfg.sys, T=T), cfg.ch, cfg.opt)
+
+    def test_random_configs(self):
+        rng = np.random.default_rng(404)
+        for i in range(36):
+            s = random_system(rng, t_max=14)
+            ch = random_channel(rng)
+            cfg = OptimizerConfig(init="full" if i % 4 == 3 else "zero",
+                                  ex2_1=None if i % 3 else float(rng.uniform(0, 2)))
+            _assert_same_trajectory(s, ch, cfg)
