@@ -17,7 +17,6 @@ from .model import (
     forward_second_moments,
     policy_to_success,
     power_to_success,
-    success_to_policy,
     success_to_power,
 )
 from .optimizer import (
@@ -46,7 +45,6 @@ __all__ = [
     "power_to_success",
     "success_to_power",
     "policy_to_success",
-    "success_to_policy",
     "expected_cost",
     "expected_cost_enumerated",
     "backward_tables",

@@ -10,6 +10,12 @@ This module holds the parameter containers, the power <-> success-probability
 mapping, the exact expected combined cost (control + transmission energy),
 the backward/forward recursion tables behind the per-slot optimizer, the
 analytic cost slope, and an exhaustive-enumeration oracle for small horizons.
+
+The two recursions are O(T) loops over Python floats: the backward pass
+gives the tail factors, the forward pass the state second moments, and the
+cost follows from the second moments without a further pass.  A table or
+cost that is no longer finite (an unstable plant over a long horizon)
+raises ValueError naming T and the slot where it overflowed.
 """
 
 from __future__ import annotations
@@ -26,10 +32,10 @@ __all__ = [
     "power_to_success",
     "success_to_power",
     "policy_to_success",
-    "success_to_policy",
     "validate_success_vector",
     "validate_policy",
     "expected_cost",
+    "cost_from_moments",
     "backward_tables",
     "forward_second_moments",
     "compute_tables",
@@ -169,16 +175,6 @@ def policy_to_success(p: np.ndarray, ch: ChannelParams) -> np.ndarray:
     return out
 
 
-def success_to_policy(pi: np.ndarray, ch: ChannelParams) -> np.ndarray:
-    """Vectorised success probability -> power over a whole success vector."""
-    pi = np.asarray(pi, dtype=float)
-    validate_success_vector(pi, ch)
-    out = np.zeros_like(pi)
-    nz = pi > 0
-    out[nz] = np.minimum(-ch.theta / np.log(pi[nz]), ch.p_max)
-    return out
-
-
 def validate_policy(p: np.ndarray, ch: ChannelParams) -> None:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 1:
@@ -227,7 +223,8 @@ def expected_cost(
     with E[x_t^2] propagated forward through
     E[x_{t+1}^2] = (a^2 + (b^2 k^2 + 2abk) pi_t) E[x_t^2] + sigma_d2 and
     p_t = -theta/ln(pi_t) (0 where pi_t = 0).  Algebraically identical to
-    the expanded sum-of-products form; empty products count as 1.
+    the expanded sum-of-products form; empty products count as 1.  Raises
+    ValueError when a second moment or the cost is not finite.
 
     Parameters
     ----------
@@ -240,9 +237,24 @@ def expected_cost(
     if len(pi) != sys.T:
         raise ValueError(f"success vector has length {len(pi)}, expected T = {sys.T}")
     ex2 = forward_second_moments(sys, pi, sys.sigma_x2 if ex2_1 is None else ex2_1)
+    return cost_from_moments(sys, ch, pi, ex2)
+
+
+def cost_from_moments(
+    sys: SystemParams, ch: ChannelParams, pi: np.ndarray, ex2: np.ndarray
+) -> float:
+    """Expected cost of success vector pi from its second moments ex2.
+
+    The last step of :func:`expected_cost`, for callers that already hold
+    the forward pass of pi (such as ``RecursionTables.ex2``); the result is
+    bit-equal to ``expected_cost`` of the same pi.
+    """
     rk2 = sys.r * sys.k**2
     control = float(np.sum((sys.q + rk2 * pi) * ex2))
-    return control + _transmission_energy(pi, ch)
+    cost = control + _transmission_energy(pi, ch)
+    if not math.isfinite(cost):
+        raise ValueError(f"expected cost is not finite (T = {sys.T})")
+    return cost
 
 
 def forward_second_moments(
@@ -251,18 +263,27 @@ def forward_second_moments(
     """State second moments E[x_t^2], t = 0..T-1 (0-based), by forward pass.
 
     ex2[0] = ex2_1 and ex2[t+1] = (a^2 + c*pi_t) ex2[t] + sigma_d2 with
-    c = b^2 k^2 + 2abk.
+    c = b^2 k^2 + 2abk.  The loop runs over Python floats; each step is the
+    same two products and two sums in the same order as over numpy scalars.
+    Raises ValueError naming the first slot whose moment is not finite.
     """
     if ex2_1 < 0:
         raise ValueError(f"ex2_1 must be >= 0 (got {ex2_1})")
     pi = np.asarray(pi, dtype=float)
-    T = len(pi)
-    c = sys.closed_loop_coeff
-    ex2 = np.empty(T)
-    ex2[0] = ex2_1
-    for t in range(T - 1):
-        ex2[t + 1] = (sys.a**2 + c * pi[t]) * ex2[t] + sys.sigma_d2
-    return ex2
+    a2, c, sigma_d2 = float(sys.a**2), float(sys.closed_loop_coeff), float(sys.sigma_d2)
+    m = float(ex2_1)
+    ex2 = [m]
+    for p in pi[:-1].tolist():
+        m = (a2 + c * p) * m + sigma_d2
+        ex2.append(m)
+    # inf and nan carry through every later step: the last moment is
+    # finite only if all are
+    if not math.isfinite(m):
+        t = next(t for t, v in enumerate(ex2) if not math.isfinite(v))
+        raise ValueError(
+            f"second moment E[x_t^2] is not finite at slot t = {t + 1} "
+            f"of T = {len(ex2)}")
+    return np.array(ex2)
 
 
 def backward_tables(
@@ -274,29 +295,44 @@ def backward_tables(
     fs[t] = fbar[t] + fs[t+1], run from t = T-1 down to 0 against the
     trailing sentinels fbar[T] = fs[T] = 0.  At the terminal slot this gives
     fbar[T-1] = q + r k^2 pi_{T-1}, which reduces to q whenever the last
-    slot does not transmit (the optimal terminal choice).
+    slot does not transmit (the optimal terminal choice).  The loop runs
+    over Python floats in the same operation order as over numpy scalars.
+    Raises ValueError naming the slot where a tail factor first stops being
+    finite.
     """
     pi = np.asarray(pi, dtype=float)
     validate_success_vector(pi, ch)
     if len(pi) != sys.T:
         raise ValueError(f"success vector has length {len(pi)}, expected T = {sys.T}")
-    T = sys.T
-    c = sys.closed_loop_coeff
-    rk2 = sys.r * sys.k**2
-    fbar = np.zeros(T + 1)
-    fs = np.zeros(T + 1)
-    for t in range(T - 1, -1, -1):
-        fbar[t] = (sys.q + rk2 * pi[t]) + (sys.a**2 + c * pi[t]) * fbar[t + 1]
-        fs[t] = fbar[t] + fs[t + 1]
-    return RecursionTables(fbar=fbar, fs=fs)
+    a2, c, q = float(sys.a**2), float(sys.closed_loop_coeff), float(sys.q)
+    rk2 = float(sys.r * sys.k**2)
+    f = s = 0.0
+    fbar, fs = [f], [s]   # built from slot T down to slot 0
+    for p in reversed(pi.tolist()):
+        f = (q + rk2 * p) + (a2 + c * p) * f
+        s = f + s
+        fbar.append(f)
+        fs.append(s)
+    # inf and nan carry through every later step: fs[0] is finite only if
+    # every fbar and fs is
+    if not math.isfinite(s):
+        i = next(i for i, v in enumerate(fs) if not math.isfinite(v))
+        raise ValueError(
+            f"tail factor is not finite at slot t = {sys.T - i + 1} "
+            f"of T = {sys.T}")
+    return RecursionTables(fbar=np.array(fbar[::-1]), fs=np.array(fs[::-1]))
 
 
 def compute_tables(
     sys: SystemParams, ch: ChannelParams, pi: np.ndarray, ex2_1: float
 ) -> RecursionTables:
-    """Backward and forward passes together, as one table set."""
+    """Backward and forward passes together, as one table set.
+
+    Validates pi once (in the backward pass); raises ValueError when a
+    second moment or a tail factor is not finite.
+    """
     tables = backward_tables(sys, ch, pi)
-    tables.ex2 = forward_second_moments(sys, np.asarray(pi, dtype=float), ex2_1)
+    tables.ex2 = forward_second_moments(sys, pi, ex2_1)
     return tables
 
 

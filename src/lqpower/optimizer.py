@@ -8,10 +8,12 @@ P(pi) = -theta/ln pi is the transmit power.  The slope A_t + theta/(pi ln^2 pi)
 is smallest at pi = e^-2, which makes the per-slot minimizer a member of a
 two-point candidate set {0, min(pi0, pi_max)} where pi0, the stationary point
 in (e^-2, 1), has a closed form through the Lambert W function.  Each outer
-iteration computes the tables under the incumbent policy, scores the
-candidates of every slot at once by that exact cost change, and adopts the
-best single-coordinate replacement: the cost descends monotonically and one
-iteration costs O(T).
+iteration scores the candidates of every slot at once by that exact cost
+change against the incumbent's tables and adopts the best single-coordinate
+replacement, writing that one slot's power: the cost descends monotonically.
+The incumbent's tables and exact cost carry over to the next iteration, so
+one iteration is one backward and one forward pass (for the adopted policy)
+plus O(T) array work.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import lambertw
@@ -28,9 +31,10 @@ from .model import (
     RecursionTables,
     SystemParams,
     compute_tables,
+    cost_from_moments,
     expected_cost,
     policy_to_success,
-    success_to_policy,
+    success_to_power,
 )
 
 __all__ = [
@@ -146,6 +150,58 @@ def slot_candidates(
     return cands, deltas
 
 
+class _Incumbent(NamedTuple):
+    """A policy with its success vector, recursion tables and exact cost."""
+
+    policy: np.ndarray
+    pi: np.ndarray
+    tables: RecursionTables
+    cost: float
+
+
+def _incumbent(
+    sys: SystemParams, ch: ChannelParams, policy: np.ndarray, pi: np.ndarray,
+    ex2_1: float,
+) -> _Incumbent:
+    """Tables of pi from one backward and one forward pass, and its cost."""
+    tables = compute_tables(sys, ch, pi, ex2_1)
+    return _Incumbent(policy, pi, tables, cost_from_moments(sys, ch, pi, tables.ex2))
+
+
+def _step(
+    sys: SystemParams,
+    ch: ChannelParams,
+    cfg: OptimizerConfig,
+    ex2_1: float,
+    inc: _Incumbent,
+) -> _Incumbent | None:
+    """The incumbent after the best single-coordinate replacement, if any.
+
+    Scores every slot's candidates by their exact cost change against the
+    incumbent's tables.  Ties among modifications go to the smallest slot
+    index; None (a fixed point) unless the winner improves the cost by at
+    least cfg.eps_cost relative.  Only the winning slot's power is written.
+    """
+    cands, deltas = slot_candidates(sys, ch, inc.tables, inc.pi)
+    pick = np.argmin(deltas, axis=1)  # within a slot the first candidate wins ties
+    slot_cost = inc.cost + deltas[np.arange(sys.T), pick]
+
+    best_t, best_cost = 0, slot_cost[0]
+    bar = best_cost - TIE_TOL * abs(best_cost)
+    for t, cost in enumerate(slot_cost.tolist()):
+        # a later slot displaces the running winner only when strictly
+        # better beyond the tie tolerance
+        if cost < bar:
+            best_t, best_cost = t, cost
+            bar = cost - TIE_TOL * abs(cost)
+    if not best_cost < inc.cost - cfg.eps_cost * abs(inc.cost):
+        return None
+    policy, pi = inc.policy.copy(), inc.pi.copy()
+    policy[best_t] = success_to_power(cands[best_t, pick[best_t]], ch)
+    pi[best_t:best_t + 1] = policy_to_success(policy[best_t:best_t + 1], ch)
+    return _incumbent(sys, ch, policy, pi, ex2_1)
+
+
 def coordinate_sweep(
     sys: SystemParams,
     ch: ChannelParams,
@@ -159,28 +215,17 @@ def coordinate_sweep(
     adopts the single-coordinate modification with the lowest cost.  Ties
     among modifications go to the smallest slot index; the incumbent is kept
     unless the winner improves it by at least cfg.eps_cost relative, which
-    makes a converged policy an exact fixed point of this function.  The
-    returned cost is a full evaluation of the returned policy.
+    makes a converged policy an exact fixed point of this function.  Only
+    the adopted slot's power changes, and the returned cost is the exact
+    cost of the returned policy.
     """
-    pi = policy_to_success(policy, ch)
+    policy = np.array(policy, dtype=float)
     ex2_1 = sys.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1
-    tables = compute_tables(sys, ch, pi, ex2_1)
-    incumbent_cost = expected_cost(sys, ch, pi, ex2_1)
-    cands, deltas = slot_candidates(sys, ch, tables, pi)
-    pick = np.argmin(deltas, axis=1)  # within a slot the first candidate wins ties
-    slot_cost = incumbent_cost + deltas[np.arange(sys.T), pick]
-
-    best_t, best_cost = 0, slot_cost[0]
-    for t, cost in enumerate(slot_cost.tolist()):
-        # a later slot displaces the running winner only when strictly
-        # better beyond the tie tolerance
-        if cost < best_cost - TIE_TOL * abs(best_cost):
-            best_t, best_cost = t, cost
-    if best_cost < incumbent_cost - cfg.eps_cost * abs(incumbent_cost):
-        best_pi = pi.copy()
-        best_pi[best_t] = cands[best_t, pick[best_t]]
-        return success_to_policy(best_pi, ch), expected_cost(sys, ch, best_pi, ex2_1)
-    return np.array(policy, dtype=float), incumbent_cost
+    inc = _incumbent(sys, ch, policy, policy_to_success(policy, ch), ex2_1)
+    nxt = _step(sys, ch, cfg, ex2_1, inc)
+    if nxt is not None:
+        inc = nxt
+    return inc.policy, inc.cost
 
 
 def optimize_policy(
@@ -194,6 +239,11 @@ def optimize_policy(
     cfg.eps_cost relative, or k_max iterations have run.  Each iteration
     changes one slot, so k_max defaults to max(200, 10 T).  Stopping at
     k_max short of a fixed point emits a RuntimeWarning.
+
+    The incumbent's policy, success vector, tables and cost carry over from
+    one iteration to the next, so an iteration runs one backward and one
+    forward pass, for the policy it adopts.  The result equals a loop of
+    :func:`coordinate_sweep` bit for bit.
     """
     k_max = max(200, 10 * sys.T) if cfg.k_max is None else cfg.k_max
     if cfg.init == "zero":
@@ -202,24 +252,27 @@ def optimize_policy(
         policy = np.full(sys.T, ch.p_max)
         policy[-1] = 0.0
     ex2_1 = sys.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1
-    history = [expected_cost(sys, ch, policy_to_success(policy, ch), ex2_1)]
+    pi = policy_to_success(policy, ch)
+    history = [expected_cost(sys, ch, pi, ex2_1)]
+    inc = _incumbent(sys, ch, policy, pi, ex2_1)
     converged = False
     iterations = 0
     for iterations in range(1, k_max + 1):
-        new_policy, new_cost = coordinate_sweep(sys, ch, cfg, policy)
-        history.append(new_cost)
-        if np.array_equal(new_policy, policy):
-            converged = True
+        nxt = _step(sys, ch, cfg, ex2_1, inc)
+        converged = nxt is None
+        if not converged:
+            inc = nxt
+        history.append(inc.cost)
+        if converged:
             break
-        policy = new_policy
     if not converged:
         warnings.warn(
             f"optimizer stopped after {iterations} iterations at k_max = {k_max} "
             f"without reaching a fixed point (T = {sys.T})",
             RuntimeWarning, stacklevel=2)
     return OptimizationTrace(
-        policy=policy,
-        success=policy_to_success(policy, ch),
+        policy=inc.policy,
+        success=inc.pi,
         cost_history=np.asarray(history),
         iterations=iterations,
         converged=converged,

@@ -109,14 +109,17 @@ def _stream_keys(seed: int, indices: np.ndarray) -> np.ndarray:
         return _mix64(s + (indices.astype(_U64) + _U64(1)) * _GOLDEN)
 
 
-def _uniform_block(seed: int, start: int, stop: int, n_draws: int) -> np.ndarray:
+def _uniform_block(
+    seed: int, start: int, stop: int, n_draws: int, first_draw: int = 0
+) -> np.ndarray:
     """Uniforms in (0, 1) for replications start..stop-1, n_draws each.
 
-    Row i - start holds draws j = 0..n_draws-1 of replication i; entry (i, j)
-    depends only on (seed, i, j).
+    Row i - start holds draws j = first_draw..first_draw+n_draws-1 of
+    replication i; entry (i, j) depends only on (seed, i, j).
     """
     keys = _stream_keys(seed, np.arange(start, stop, dtype=np.int64))
-    ctr = (np.arange(n_draws, dtype=np.int64).astype(_U64) + _U64(1)) * _WEYL
+    ctr = (np.arange(first_draw, first_draw + n_draws, dtype=np.int64).astype(_U64)
+           + _U64(1)) * _WEYL
     with np.errstate(over="ignore"):
         bits = _mix64(keys[:, None] + ctr[None, :])
     return (bits >> _U64(11)).astype(np.float64) * _U53_SCALE + 2.0**-54
@@ -132,8 +135,8 @@ class ReplicationStream:
 
     def uniform(self, size: int) -> np.ndarray:
         """Next `size` uniforms in (0, 1)."""
-        u = _uniform_block(self.seed, self.index, self.index + 1,
-                           self._pos + size)[0, self._pos:]
+        u = _uniform_block(self.seed, self.index, self.index + 1, size,
+                           first_draw=self._pos)[0]
         self._pos += size
         return u
 

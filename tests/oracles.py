@@ -17,7 +17,7 @@ from lqpower import (
     compute_tables,
     expected_cost,
     policy_to_success,
-    success_to_policy,
+    success_to_power,
 )
 from lqpower.optimizer import TIE_TOL
 
@@ -84,6 +84,29 @@ def cost_direct(sys: SystemParams, ch: ChannelParams, pi, ex2_1=None) -> float:
         if pi1[t] > 0:
             total += -ch.theta / np.log(pi1[t])
     return total
+
+
+def reference_tables(sys: SystemParams, pi, ex2_1: float):
+    """(fbar, fs, ex2) by the recursions written over numpy scalars.
+
+    Indexes numpy arrays element by element, as the library's backward and
+    forward passes once did; those passes now run over Python floats and
+    must return the same bits.
+    """
+    pi = np.asarray(pi, dtype=float)
+    T = len(pi)
+    c = sys.closed_loop_coeff
+    rk2 = sys.r * sys.k**2
+    fbar = np.zeros(T + 1)
+    fs = np.zeros(T + 1)
+    for t in range(T - 1, -1, -1):
+        fbar[t] = (sys.q + rk2 * pi[t]) + (sys.a**2 + c * pi[t]) * fbar[t + 1]
+        fs[t] = fbar[t] + fs[t + 1]
+    ex2 = np.empty(T)
+    ex2[0] = ex2_1
+    for t in range(T - 1):
+        ex2[t + 1] = (sys.a**2 + c * pi[t]) * ex2[t] + sys.sigma_d2
+    return fbar, fs, ex2
 
 
 def fd_slope(sys, ch, pi, t, ex2_1=None, h=1e-6) -> float:
@@ -187,7 +210,7 @@ def reference_sweep(
         if best_t is None or slot_cost < best_cost - TIE_TOL * abs(best_cost):
             best_t, best_v, best_cost = t, slot_v, slot_cost
     if best_cost < incumbent_cost - cfg.eps_cost * abs(incumbent_cost):
-        best_pi = pi.copy()
-        best_pi[best_t] = best_v
-        return success_to_policy(best_pi, ch), best_cost
+        new_policy = np.array(policy, dtype=float)
+        new_policy[best_t] = success_to_power(best_v, ch)
+        return new_policy, best_cost
     return np.array(policy, dtype=float), incumbent_cost

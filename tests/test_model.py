@@ -26,6 +26,7 @@ from oracles import (
     random_channel,
     random_success,
     random_system,
+    reference_tables,
 )
 
 CH = ChannelParams(gamma=1.0, sigma2=1.0, gbar=1.0, p_max=3.0)
@@ -212,6 +213,50 @@ class TestRecursionTables:
             power = np.sum([success_to_power(v, ch) for v in pi])
             via_tables = s.sigma_x2 * tab.fbar[0] + s.sigma_d2 * tab.fs[1] + power
             assert expected_cost(s, ch, pi) == pytest.approx(via_tables, rel=1e-12)
+
+    def test_bitwise_matches_numpy_scalar_loops(self):
+        # the Python-float passes do the same IEEE operations in the same
+        # order as the numpy-scalar loops of the oracle
+        rng = np.random.default_rng(43)
+        for _ in range(120):
+            s = random_system(rng, t_max=200)
+            ch = random_channel(rng)
+            pi = random_success(rng, ch, s.T)
+            pi[rng.random(s.T) < 0.2] = ch.pi_max
+            ex2_1 = float(rng.uniform(0, 2))
+            tab = compute_tables(s, ch, pi, ex2_1)
+            fbar, fs, ex2 = reference_tables(s, pi, ex2_1)
+            assert np.array_equal(tab.fbar, fbar)
+            assert np.array_equal(tab.fs, fs)
+            assert np.array_equal(tab.ex2, ex2)
+
+
+class TestNonFiniteMoments:
+    """Horizons where the second moments overflow fail loudly."""
+
+    UNSTABLE = dict(a=3.0, b=-1.0, k=1.8, q=1.0, r=0.5,
+                    sigma_x2=1.0, sigma_d2=0.05, T=700)
+
+    def test_expected_cost_names_first_overflowing_moment(self):
+        # E[x_t^2] ~ 9^t overflows past 1.8e308 at 1-based slot 325
+        s = SystemParams(**self.UNSTABLE)
+        with pytest.raises(ValueError, match=r"second moment .* slot t = 325 of T = 700"):
+            expected_cost(s, CH, np.zeros(s.T))
+
+    def test_tables_name_first_overflowing_tail_factor(self):
+        s = SystemParams(**self.UNSTABLE)
+        with pytest.raises(ValueError, match=r"tail factor .* slot t = 377 of T = 700"):
+            compute_tables(s, CH, np.zeros(s.T), 1.0)
+        # the forward pass on its own reports the moment overflow
+        with pytest.raises(ValueError, match=r"second moment .* slot t = 325 of T = 700"):
+            forward_second_moments(s, np.zeros(s.T), 1.0)
+
+    def test_stable_long_horizon_stays_finite(self):
+        s = SystemParams(**dict(self.UNSTABLE, a=1.1, T=3000))
+        pi = np.full(s.T, 0.5)
+        assert np.isfinite(expected_cost(s, CH, pi))
+        tab = compute_tables(s, CH, pi, 1.0)
+        assert np.all(np.isfinite(tab.fs)) and np.all(np.isfinite(tab.ex2))
 
 
 class TestForwardMoments:

@@ -43,6 +43,14 @@ class TestUniformStreams:
         s2 = ReplicationStream(5, 3)
         assert np.array_equal(first, s2.uniform(7))
 
+    def test_mixed_call_sizes_reproduce_one_block_row(self):
+        # each call generates only its own draws, from the stream's position on
+        row = _uniform_block(11, 6, 7, 40)[0]
+        stream = ReplicationStream(11, 6)
+        parts = [stream.uniform(k) for k in (1, 7, 2, 13, 1, 16)]
+        assert np.array_equal(np.concatenate(parts), row)
+        assert np.array_equal(_uniform_block(11, 0, 9, 9, first_draw=31)[6], row[31:])
+
     def test_seeds_decorrelate(self):
         a = _uniform_block(1, 0, 4000, 1)[:, 0]
         b = _uniform_block(2, 0, 4000, 1)[:, 0]
