@@ -1,8 +1,8 @@
 """Command-line front end.
 
-    lqpower optimize  [--config cfg.json] [--preset fig2] [--out DIR]
+    lqpower optimize  [--config cfg.json] [--preset fig2] [--plot] [--out DIR]
     lqpower simulate  [--config cfg.json] [--seed N] [--samples N] [--out DIR]
-    lqpower compare   --horizons 2:30 [--config cfg.json] [--out DIR]
+    lqpower compare   --horizons 2:30 [--config cfg.json] [--plot] [--out DIR]
     lqpower sweep     --param sigma_d2 --values 0,0.01,0.05 [--out DIR]
     lqpower figure    {fig2|fig3|fig4} [--plot] [--out DIR]
 
@@ -18,19 +18,31 @@ from __future__ import annotations
 import argparse
 import sys as _sys
 import warnings
+from pathlib import Path
 
 from . import experiments as exp
 
+# What --plot draws, per command or figure: (plot kind, script name, log-y).
+# The script plots the output CSVs whose names start with the kind.
+_PLOTS = {
+    "optimize": ("policy", "policy.gp", False),
+    "compare": ("comparison", "comparison.gp", True),
+    "fig2": ("policy", "fig2.gp", False),
+    "fig3": ("policy", "fig3.gp", False),
+    "fig4": ("comparison", "fig4.gp", True),
+}
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+
+def _add_common(parser: argparse.ArgumentParser, plot: bool = False) -> None:
     parser.add_argument("--config", help="JSON experiment config")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="master RNG seed (u64)")
     parser.add_argument("--samples", type=int, help="Monte Carlo replication count")
     parser.add_argument("--preset", choices=sorted(exp.PRESETS),
                         help="apply a figure preset before the config file")
-    parser.add_argument("--plot", action="store_true",
-                        help="also emit a gnuplot script for the outputs")
+    if plot:
+        parser.add_argument("--plot", action="store_true",
+                            help="also emit a gnuplot script for the outputs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,13 +51,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Energy-efficient transmit-power policies for remote LQ control")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(sub.add_parser("optimize", help="optimize one policy"))
+    _add_common(sub.add_parser("optimize", help="optimize one policy"), plot=True)
     _add_common(sub.add_parser("simulate",
                                help="optimize, then Monte Carlo-evaluate"))
 
     p_cmp = sub.add_parser("compare",
                            help="proposed vs full-power vs open-loop over horizons")
-    _add_common(p_cmp)
+    _add_common(p_cmp, plot=True)
     p_cmp.add_argument("--horizons", default="2:30",
                        help="comma list and/or lo:hi ranges, e.g. 1,2,5:10")
 
@@ -58,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figure", help="reproduce a reference figure's data")
     p_fig.add_argument("which", choices=("fig2", "fig3", "fig4"))
-    _add_common(p_fig)
+    _add_common(p_fig, plot=True)
     return parser
 
 
@@ -69,8 +81,10 @@ def _parse_horizons(spec: str) -> list[int]:
         if not part:
             continue
         if ":" in part:
-            lo, hi = part.split(":", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in part.split(":", 1))
+            if hi < lo:
+                raise exp.ConfigError(f"empty horizon range {part!r} (hi < lo)")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
     if not out:
@@ -97,7 +111,7 @@ def main(argv=None) -> int:
 def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
-        preset = getattr(args, "preset", None)
+        preset = args.preset
         if args.command == "figure" and preset is None:
             preset = args.which
         cfg = exp.load_config(
@@ -109,21 +123,19 @@ def _main(argv) -> int:
         )
         if args.command == "optimize":
             res = exp.run_optimize(cfg)
-            if args.plot:
-                res["files"].append(exp.emit_plot_script(
-                    res["files"][:1], "policy", res["files"][0].parent / "policy.gp"))
         elif args.command == "simulate":
             res = exp.run_simulate(cfg)
         elif args.command == "compare":
             res = exp.run_compare(cfg, _parse_horizons(args.horizons))
-            if args.plot:
-                res["files"].append(exp.emit_plot_script(
-                    res["files"][:1], "comparison",
-                    res["files"][0].parent / "comparison.gp", logy=True))
         elif args.command == "sweep":
             res = exp.run_sweep(cfg, args.param, _parse_values(args.values))
         else:
-            res = exp.run_figure(cfg, args.which, plot=args.plot)
+            res = exp.run_figure(cfg, args.which)
+        if getattr(args, "plot", False):
+            kind, script, logy = _PLOTS[getattr(args, "which", args.command)]
+            res["files"].append(exp.emit_plot_script(
+                [f for f in res["files"] if f.name.startswith(kind)], kind,
+                Path(cfg.output_dir) / script, logy=logy))
     except (exp.ConfigError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

@@ -1,15 +1,15 @@
 """Experiment workflows: config handling, CSV output, figure presets.
 
 A single JSON document mirrors :class:`ExperimentConfig`; omitted fields take
-the documented defaults and a named preset can pre-fill the published
-parameter set of one of the three reference figures.  All numeric CSV output
-is printed with 17 significant digits so files round-trip exactly.
+the defaults of the parameter dataclasses, and a named preset holds only the
+values of one reference figure that differ from those defaults.  All numeric
+CSV output is printed with 17 significant digits so files round-trip exactly.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ __all__ = [
     "ExperimentConfig",
     "ConfigError",
     "load_config",
-    "apply_preset",
     "run_optimize",
     "run_simulate",
     "run_compare",
@@ -42,59 +41,36 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    sys: SystemParams
-    ch: ChannelParams
-    opt: OptimizerConfig
-    sim: SimConfig
+    sys: SystemParams = field(default_factory=SystemParams)
+    ch: ChannelParams = field(default_factory=ChannelParams)
+    opt: OptimizerConfig = field(default_factory=OptimizerConfig)
+    sim: SimConfig = field(default_factory=SimConfig)
     preset: str | None = None
     output_dir: str = "out"
 
 
-_DEFAULTS = {
-    "sys": {"a": 1.1, "b": -1.0, "k": 1.0, "q": 1.0, "r": 0.5,
-            "sigma_x2": 1.0, "sigma_d2": 0.0, "T": 30},
-    "ch": {"gamma": 1.0, "sigma2": 1.0, "gbar": 1.0, "p_max": 3.0},
-    "opt": {"k_max": None, "eps_cost": 1e-10, "ex2_1": None, "init": "zero"},
-    "sim": {"n_samples": 10000, "seed": 0, "channel_model": "bernoulli",
-            "initial_state": "gaussian", "x1": 1.0},
-    "preset": None,
-    "output_dir": "out",
-}
+# Config sections: the ExperimentConfig fields that hold a parameter dataclass.
+_SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)
+             if f.default_factory is not MISSING}
 
-_CASTERS = {
-    "sys": {"a": float, "b": float, "k": float, "q": float, "r": float,
-            "sigma_x2": float, "sigma_d2": float, "T": int},
-    "ch": {"gamma": float, "sigma2": float, "gbar": float, "p_max": float},
-    "opt": {"k_max": lambda v: None if v is None else int(v), "eps_cost": float,
-            "ex2_1": lambda v: None if v is None else float(v), "init": str},
-    "sim": {"n_samples": int, "seed": int, "channel_model": str,
-            "initial_state": str, "x1": float},
-}
 
-# Published parameter sets of the three reference figures.  fig2 is the
-# perturbation-free study, fig3/fig4 switch to the less stable k = 1.8 loop.
+def _integer(value) -> int:
+    number = int(value)
+    if isinstance(value, float) and number != value:
+        raise ValueError("not an integer")  # int() would truncate it
+    return number
+
+
+# JSON value -> field value, keyed by the field's annotation.
+_CASTS = {"float": float, "int": _integer, "str": str}
+
+# Published parameter sets of the three reference figures, as changes to the
+# defaults.  fig2 is the perturbation-free study, fig3/fig4 switch to the
+# less stable k = 1.8 loop.
 PRESETS = {
-    "fig2": {
-        "sys": {"a": 1.1, "b": -1.0, "k": 1.0, "q": 1.0, "r": 0.5,
-                "sigma_x2": 1.0, "sigma_d2": 0.0, "T": 30},
-        "ch": {"gamma": 1.0, "sigma2": 1.0, "gbar": 1.0, "p_max": 3.0},
-        "opt": {"ex2_1": 1.0},
-        "sim": {"initial_state": "fixed", "x1": 1.0},
-    },
-    "fig3": {
-        "sys": {"a": 1.1, "b": -1.0, "k": 1.8, "q": 1.0, "r": 0.5,
-                "sigma_x2": 1.0, "sigma_d2": 0.0, "T": 30},
-        "ch": {"gamma": 1.0, "sigma2": 1.0, "gbar": 1.0, "p_max": 3.0},
-        "opt": {"ex2_1": 1.0},
-        "sim": {"initial_state": "gaussian"},
-    },
-    "fig4": {
-        "sys": {"a": 1.1, "b": -1.0, "k": 1.8, "q": 1.0, "r": 0.5,
-                "sigma_x2": 1.0, "sigma_d2": 0.05, "T": 30},
-        "ch": {"gamma": 1.0, "sigma2": 1.0, "gbar": 1.0, "p_max": 3.0},
-        "opt": {"ex2_1": 1.0},
-        "sim": {"n_samples": 10000, "initial_state": "gaussian"},
-    },
+    "fig2": {"opt": {"ex2_1": 1.0}, "sim": {"initial_state": "fixed"}},
+    "fig3": {"sys": {"k": 1.8}, "opt": {"ex2_1": 1.0}},
+    "fig4": {"sys": {"k": 1.8, "sigma_d2": 0.05}, "opt": {"ex2_1": 1.0}},
 }
 
 # Single-parameter variants shown alongside the nominal fig2 policy.  The
@@ -120,28 +96,27 @@ SWEEP_PARAMETERS = ("a", "k", "q", "r", "p_max", "sigma_d2")
 # Config assembly
 # ----------------------------------------------------------------------------
 
-def _merge_section(base: dict, override: dict, section: str) -> dict:
-    casters = _CASTERS[section]
-    out = dict(base)
+def _cast_section(section: str, override) -> dict:
+    if not isinstance(override, dict):
+        raise ConfigError(f"config section {section!r} must be an object")
+    types = {f.name: f.type for f in fields(_SECTIONS[section])}
+    out = {}
     for key, value in override.items():
-        if key not in casters:
+        if key not in types:
             raise ConfigError(
                 f"unknown key {section}.{key} "
-                f"(valid: {', '.join(sorted(casters))})")
+                f"(valid: {', '.join(sorted(types))})")
+        annotation = types[key]
         try:
-            out[key] = casters[key](value)
-        except (TypeError, ValueError):
+            if value is None and annotation.endswith(" | None"):
+                out[key] = None
+            else:
+                out[key] = _CASTS[annotation.removesuffix(" | None")](value)
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(
-                f"bad value for {section}.{key}: {value!r}") from None
+                f"bad value for {section}.{key}: {value!r} "
+                f"(expected {annotation})") from None
     return out
-
-
-def apply_preset(name: str) -> dict:
-    """Raw section overrides of a named preset."""
-    if name not in PRESETS:
-        raise ConfigError(
-            f"unknown preset {name!r} (valid: {', '.join(sorted(PRESETS))})")
-    return PRESETS[name]
 
 
 def load_config(
@@ -153,8 +128,8 @@ def load_config(
 ) -> ExperimentConfig:
     """Assemble an ExperimentConfig from defaults, preset, file and flags.
 
-    Precedence, lowest to highest: built-in defaults, preset overrides (from
-    the file's "preset" field or the explicit argument), the file's own
+    Precedence, lowest to highest: the dataclass defaults, preset overrides
+    (from the file's "preset" field or the explicit argument), the file's own
     sections, then the seed/samples/output_dir flag overrides.
     """
     raw = {}
@@ -167,36 +142,31 @@ def load_config(
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        unknown = set(raw) - set(_DEFAULTS)
+        unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ConfigError(
                 f"unknown config section(s): {', '.join(sorted(unknown))}")
 
     preset_name = preset if preset is not None else raw.get("preset")
-    sections = {k: dict(v) for k, v in _DEFAULTS.items() if isinstance(v, dict)}
-    if preset_name is not None:
-        for section, override in apply_preset(preset_name).items():
-            sections[section] = _merge_section(sections[section], override, section)
-    for section in ("sys", "ch", "opt", "sim"):
-        if section in raw:
-            if not isinstance(raw[section], dict):
-                raise ConfigError(f"config section {section!r} must be an object")
-            sections[section] = _merge_section(sections[section], raw[section], section)
+    if preset_name is not None and not (
+            isinstance(preset_name, str) and preset_name in PRESETS):
+        raise ConfigError(
+            f"unknown preset {preset_name!r} (valid: {', '.join(sorted(PRESETS))})")
+    flags = {"seed": seed, "n_samples": samples}
+    layers = [PRESETS.get(preset_name, {}), raw,
+              {"sim": {k: v for k, v in flags.items() if v is not None}}]
+    values = {section: {} for section in _SECTIONS}
+    for layer in layers:
+        for section in _SECTIONS:
+            if section in layer:
+                values[section].update(_cast_section(section, layer[section]))
 
-    if seed is not None:
-        sections["sim"]["seed"] = int(seed)
-    if samples is not None:
-        sections["sim"]["n_samples"] = int(samples)
-    out_dir = output_dir or raw.get("output_dir") or _DEFAULTS["output_dir"]
-
+    out_dir = output_dir or raw.get("output_dir")
     try:
         return ExperimentConfig(
-            sys=SystemParams(**sections["sys"]),
-            ch=ChannelParams(**sections["ch"]),
-            opt=OptimizerConfig(**sections["opt"]),
-            sim=SimConfig(**sections["sim"]),
+            **{section: cls(**values[section]) for section, cls in _SECTIONS.items()},
             preset=preset_name,
-            output_dir=str(out_dir),
+            **({"output_dir": str(out_dir)} if out_dir else {}),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -232,9 +202,55 @@ def write_trace_csv(path: Path, cost_history: np.ndarray) -> None:
 # Workflows
 # ----------------------------------------------------------------------------
 
+def _out_dir(cfg: ExperimentConfig, out_dir: str | Path | None) -> Path:
+    return Path(out_dir if out_dir is not None else cfg.output_dir)
+
+
+def _scenario(cfg: ExperimentConfig, override: dict) -> tuple[SystemParams, ChannelParams]:
+    """cfg's plant and channel with override applied (p_max is a channel field)."""
+    sys_, ch = cfg.sys, cfg.ch
+    for parameter, value in override.items():
+        if parameter == "p_max":
+            ch = replace(ch, p_max=value)
+        else:
+            sys_ = replace(sys_, **{parameter: value})
+    return sys_, ch
+
+
+def _optimize_each(cfg: ExperimentConfig, out: Path, header: str, scenarios) -> dict:
+    """Optimize each scenario; one policy_<label>.csv each, plus index.csv.
+
+    scenarios holds (key, label, override) triples: the result's key (a
+    variant name, or a swept value written with 17 digits), the policy
+    file's label and the parameters that differ from cfg.  header names the
+    index columns; after the key's column they are picked from cost,
+    active_slots, last_active_slot, total_energy and file.
+    """
+    rows, files, results = [], [], []
+    for key, label, override in scenarios:
+        trace = optimize_policy(*_scenario(cfg, override), cfg.opt)
+        path = out / f"policy_{label}.csv"
+        write_policy_csv(path, trace.policy, trace.success)
+        active = np.nonzero(trace.policy)[0]
+        cells = {
+            "cost": _fmt(trace.cost),
+            "active_slots": str(len(active)),
+            "last_active_slot": str(int(active.max() + 1) if len(active) else 0),
+            "total_energy": _fmt(trace.policy.sum()),
+            "file": path.name,
+        }
+        first = key if isinstance(key, str) else _fmt(key)
+        rows.append(",".join([first, *(cells[c] for c in header.split(",")[1:])]))
+        files.append(path)
+        results.append((key, trace))
+    index_path = out / "index.csv"
+    _write_csv(index_path, header, rows)
+    return {"results": results, "files": [*files, index_path]}
+
+
 def run_optimize(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
     """Optimize the configured scenario; writes policy.csv and trace.csv."""
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    out = _out_dir(cfg, out_dir)
     trace = optimize_policy(cfg.sys, cfg.ch, cfg.opt)
     policy_path = out / "policy.csv"
     trace_path = out / "trace.csv"
@@ -244,18 +260,14 @@ def run_optimize(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> di
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
-    """Optimize, then Monte Carlo-evaluate the optimized policy.
+    """run_optimize, then Monte Carlo-evaluate the optimized policy.
 
-    Writes the policy, a summary report (mean cost, standard error, sample
-    count) and the per-slot cost breakdown.
+    Adds a summary report (mean cost, standard error, sample count) and the
+    per-slot cost breakdown.
     """
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    trace = optimize_policy(cfg.sys, cfg.ch, cfg.opt)
-    report = monte_carlo_cost(cfg.sys, cfg.ch, trace.policy, cfg.sim)
-    policy_path = out / "policy.csv"
-    write_policy_csv(policy_path, trace.policy, trace.success)
-    trace_path = out / "trace.csv"
-    write_trace_csv(trace_path, trace.cost_history)
+    out = _out_dir(cfg, out_dir)
+    res = run_optimize(cfg, out)
+    report = monte_carlo_cost(cfg.sys, cfg.ch, res["trace"].policy, cfg.sim)
     report_path = out / "report.csv"
     _write_csv(report_path, "mean_cost,std_err,n_samples",
                [f"{_fmt(report.mean_cost)},{_fmt(report.std_err)},{report.n_samples}"])
@@ -263,8 +275,8 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> di
     _write_csv(slots_path, "t,state_cost,input_cost,power",
                [f"{t + 1},{_fmt(row[0])},{_fmt(row[1])},{_fmt(row[2])}"
                 for t, row in enumerate(report.per_slot)])
-    return {"trace": trace, "report": report,
-            "files": [policy_path, trace_path, report_path, slots_path]}
+    return {**res, "report": report,
+            "files": [*res["files"], report_path, slots_path]}
 
 
 def run_compare(
@@ -278,7 +290,7 @@ def run_compare(
     random numbers), so the comparison is deterministic given the config.
     Writes comparison.csv.
     """
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    out = _out_dir(cfg, out_dir)
     horizons = [int(T) for T in horizons]
     for T in horizons:
         if T < 1:
@@ -310,11 +322,6 @@ def run_compare(
     return {"results": results, "files": [path]}
 
 
-def _policy_summary(policy: np.ndarray) -> tuple[int, float]:
-    nz = np.nonzero(policy)[0]
-    return len(nz), float(policy.sum())
-
-
 def run_sweep(
     cfg: ExperimentConfig,
     parameter: str,
@@ -324,7 +331,9 @@ def run_sweep(
     """Optimize once per value of a swept parameter; one policy CSV each.
 
     index.csv records, per value, the converged cost, the number of active
-    (nonzero-power) slots and the total transmitted energy.
+    (nonzero-power) slots and the total transmitted energy.  File names
+    print the value with %g; two values that would share one raise
+    ConfigError before any file is written.
     """
     if parameter == "P_max":
         parameter = "p_max"
@@ -332,81 +341,34 @@ def run_sweep(
         raise ConfigError(
             f"unknown sweep parameter {parameter!r} "
             f"(valid: {', '.join(SWEEP_PARAMETERS)})")
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
-    rows = []
-    files = []
-    results = []
-    for value in values:
-        value = float(value)
-        if parameter == "p_max":
-            sys_v, ch_v = cfg.sys, replace(cfg.ch, p_max=value)
-        else:
-            sys_v, ch_v = replace(cfg.sys, **{parameter: value}), cfg.ch
-        trace = optimize_policy(sys_v, ch_v, cfg.opt)
-        fname = f"policy_{parameter}_{value:g}.csv"
-        write_policy_csv(out / fname, trace.policy, trace.success)
-        active, energy = _policy_summary(trace.policy)
-        rows.append(f"{_fmt(value)},{_fmt(trace.cost)},{active},{_fmt(energy)},{fname}")
-        files.append(out / fname)
-        results.append((value, trace))
-    index_path = out / "index.csv"
-    _write_csv(index_path, f"{parameter},cost,active_slots,total_energy,file", rows)
-    return {"results": results, "files": [*files, index_path]}
+    scenarios = [(v, f"{parameter}_{v:g}", {parameter: v}) for v in map(float, values)]
+    seen = {}
+    for value, label, _ in scenarios:
+        if label in seen and seen[label] != value:
+            raise ConfigError(
+                f"sweep values {seen[label]!r} and {value!r} would both write "
+                f"policy_{label}.csv")
+        seen[label] = value
+    return _optimize_each(cfg, _out_dir(cfg, out_dir),
+                          f"{parameter},cost,active_slots,total_energy,file",
+                          scenarios)
 
 
 def run_figure(
     cfg: ExperimentConfig,
     which: str,
     out_dir: str | Path | None = None,
-    plot: bool = False,
 ) -> dict:
     """Reproduce the data behind one of the three reference figures."""
-    out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    out = _out_dir(cfg, out_dir)
     if which == "fig2":
-        rows = []
-        files = []
-        results = []
-        for name, override in FIG2_VARIANTS.items():
-            sys_v, ch_v = cfg.sys, cfg.ch
-            if "p_max" in override:
-                ch_v = replace(ch_v, p_max=override["p_max"])
-            sys_over = {k: v for k, v in override.items() if k != "p_max"}
-            if sys_over:
-                sys_v = replace(sys_v, **sys_over)
-            trace = optimize_policy(sys_v, ch_v, cfg.opt)
-            fname = f"policy_{name}.csv"
-            write_policy_csv(out / fname, trace.policy, trace.success)
-            active, energy = _policy_summary(trace.policy)
-            last = int(np.nonzero(trace.policy)[0].max() + 1) if active else 0
-            rows.append(f"{name},{_fmt(trace.cost)},{active},{last},{_fmt(energy)},{fname}")
-            files.append(out / fname)
-            results.append((name, trace))
-        index_path = out / "index.csv"
-        _write_csv(index_path,
-                   "variant,cost,active_slots,last_active_slot,total_energy,file",
-                   rows)
-        files.append(index_path)
-        if plot:
-            files.append(emit_plot_script(
-                [out / f"policy_{n}.csv" for n in FIG2_VARIANTS],
-                "policy", out / "fig2.gp"))
-        return {"results": results, "files": files}
-
+        return _optimize_each(
+            cfg, out, "variant,cost,active_slots,last_active_slot,total_energy,file",
+            [(name, name, override) for name, override in FIG2_VARIANTS.items()])
     if which == "fig3":
-        res = run_sweep(cfg, "sigma_d2", FIG3_SIGMA_D2_VALUES, out)
-        if plot:
-            policy_files = [f for f in res["files"] if f.name != "index.csv"]
-            res["files"].append(emit_plot_script(policy_files, "policy",
-                                                 out / "fig3.gp"))
-        return res
-
+        return run_sweep(cfg, "sigma_d2", FIG3_SIGMA_D2_VALUES, out)
     if which == "fig4":
-        res = run_compare(cfg, FIG4_HORIZONS, out)
-        if plot:
-            res["files"].append(emit_plot_script(res["files"][:1], "comparison",
-                                                 out / "fig4.gp", logy=True))
-        return res
-
+        return run_compare(cfg, FIG4_HORIZONS, out)
     raise ConfigError(f"unknown figure {which!r} (valid: fig2, fig3, fig4)")
 
 

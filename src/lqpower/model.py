@@ -53,16 +53,16 @@ MAX_ENUMERATION_HORIZON = 14
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Plant, feedback-gain and cost-weight parameters."""
+    """Plant, feedback-gain and cost-weight parameters (defaults: fig2 nominal)."""
 
-    a: float            # plant coefficient
-    b: float            # input coefficient
-    k: float            # static feedback gain (u = k*x on success)
-    q: float            # state cost weight, > 0
-    r: float            # input cost weight, > 0
-    sigma_x2: float     # variance of the initial state x_1
-    sigma_d2: float     # variance of the additive perturbation d_t
-    T: int              # horizon, >= 1
+    a: float = 1.1          # plant coefficient
+    b: float = -1.0         # input coefficient
+    k: float = 1.0          # static feedback gain (u = k*x on success)
+    q: float = 1.0          # state cost weight, > 0
+    r: float = 0.5          # input cost weight, > 0
+    sigma_x2: float = 1.0   # variance of the initial state x_1
+    sigma_d2: float = 0.0   # variance of the additive perturbation d_t
+    T: int = 30             # horizon, >= 1
 
     def __post_init__(self):
         if not self.q > 0:
@@ -92,10 +92,10 @@ class ChannelParams:
     constants are kept separate for configuration fidelity.
     """
 
-    gamma: float        # SNR decoding threshold
-    sigma2: float       # communication noise variance
-    gbar: float         # mean channel power gain
-    p_max: float        # transmit power cap
+    gamma: float = 1.0      # SNR decoding threshold
+    sigma2: float = 1.0     # communication noise variance
+    gbar: float = 1.0       # mean channel power gain
+    p_max: float = 3.0      # transmit power cap
 
     def __post_init__(self):
         for name in ("gamma", "sigma2", "gbar", "p_max"):

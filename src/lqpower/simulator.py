@@ -162,7 +162,6 @@ def simulate_replication(
     stream: ReplicationStream,
     sim: SimConfig | None = None,
     record: bool = False,
-    success_override: np.ndarray | None = None,
 ):
     """Roll out one closed-loop replication; returns its realized cost.
 
@@ -170,10 +169,6 @@ def simulate_replication(
     (initial state, T channel draws, T perturbation draws) regardless of
     configuration, so replication layouts agree across channel models.  With
     record=True also returns a dict of the x, z, u trajectories.
-
-    success_override replaces the per-slot success probabilities implied by
-    the policy (test hook only; it decouples reception from transmit power,
-    which production paths never do).
     """
     if sim is None:
         sim = SimConfig()
@@ -182,10 +177,7 @@ def simulate_replication(
     T = sys.T
     if len(p) != T:
         raise ValueError(f"policy has length {len(p)}, expected T = {T}")
-    if success_override is not None:
-        pi = np.asarray(success_override, dtype=float)
-    else:
-        pi = policy_to_success(p, ch)
+    pi = policy_to_success(p, ch)
 
     u = stream.uniform(2 * T + 1)
     if sim.initial_state == "fixed":

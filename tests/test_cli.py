@@ -1,4 +1,7 @@
 import json
+import re
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +41,38 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="unknown key opt.root_tol"):
             load_config(path=path)
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("sys", "T", 30.7), ("opt", "k_max", 2.5), ("sim", "seed", 1.9)])
+    def test_integer_fields_refuse_to_truncate(self, tmp_path, section, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+            load_config(path=path)
+        # an integral float is still an integer
+        doc = {"sim": {"n_samples": 1e6}}
+        doc.setdefault(section, {})[key] = 12.0
+        path.write_text(json.dumps(doc))
+        cfg = load_config(path=path)
+        assert getattr(getattr(cfg, section), key) == 12
+        assert cfg.sim.n_samples == 1_000_000
+
+    def test_readme_shows_the_defaults(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("### Config file"):]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        assert json.loads(block) == asdict(load_config())
+        # every key of the block loads, and loads to the defaults
+        path = tmp_path / "cfg.json"
+        path.write_text(block)
+        assert load_config(path=path) == load_config()
+
+    def test_presets_hold_only_changes(self):
+        defaults = asdict(load_config())
+        for preset in PRESETS.values():
+            for section, values in preset.items():
+                for key, value in values.items():
+                    assert defaults[section][key] != value, (section, key)
+
     def test_preset_equals_explicit_parameters(self, tmp_path):
         explicit = tmp_path / "explicit.json"
         explicit.write_text(json.dumps({k: v for k, v in PRESETS["fig4"].items()}))
@@ -65,9 +100,13 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="sys.alpha"):
             load_config(path=path)
 
-    def test_unknown_preset_rejected(self):
+    def test_unknown_preset_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="preset"):
             load_config(preset="fig9")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": ["fig2"]}))
+        with pytest.raises(ConfigError, match="preset"):
+            load_config(path=path)
 
     def test_invariant_violation_names_field(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -189,6 +228,15 @@ class TestCompareCommand:
         assert rc != 0
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_reversed_horizon_range(self, tmp_path, capsys):
+        rc = main(["compare", "--preset", "fig4", "--horizons", "2,9:3",
+                   "--out", str(tmp_path)])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "9:3" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not tmp_path.joinpath("comparison.csv").exists()
+
 
 class TestSweepCommand:
     def test_per_value_files_and_index(self, tmp_path):
@@ -213,6 +261,18 @@ class TestSweepCommand:
                    "--out", str(tmp_path)])
         assert rc != 0
         assert "sweep parameter" in capsys.readouterr().err
+
+    def test_colliding_file_names_rejected(self, tmp_path, capsys):
+        rc = main(["sweep", "--preset", "fig2", "--param", "q",
+                   "--values", "1.0000001,1.0000002", "--out", str(tmp_path)])
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "1.0000001" in err and "1.0000002" in err
+        assert not any(tmp_path.iterdir())
+        # repeating a value writes the same policy twice, as before
+        assert main(["sweep", "--preset", "fig2", "--param", "q",
+                     "--values", "2,2", "--out", str(tmp_path)]) == 0
 
     def test_empty_values(self, tmp_path):
         rc = main(["sweep", "--param", "q", "--values", "",
@@ -285,6 +345,17 @@ class TestPlotScripts:
         rc = main(["optimize", "--preset", "fig2", "--plot", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "policy.gp").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "fig2"],
+        ["sweep", "--param", "q", "--values", "1"],
+    ])
+    def test_plot_flag_only_where_it_plots(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--plot", "--out", str(tmp_path)])
+        assert exc.value.code != 0
+        assert "--plot" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestDeterminism:

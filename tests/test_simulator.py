@@ -70,12 +70,13 @@ class TestSimulateReplication:
                                     ReplicationStream(0, 0), sim)
         assert cost == pytest.approx(3.6741, rel=1e-14)
 
-    def test_forced_reception_hook(self):
+    def test_forced_reception_hook(self, monkeypatch):
         # success in slot 1 only, power clamped to 0: (1 + 0.5) + 0.01
+        monkeypatch.setattr("lqpower.simulator.policy_to_success",
+                            lambda policy, ch: np.array([1.0, 0.0]))
         sim = SimConfig(initial_state="fixed", x1=1.0)
         cost = simulate_replication(
-            _sys(T=2), CH, np.zeros(2), ReplicationStream(0, 0), sim,
-            success_override=np.array([1.0, 0.0]))
+            _sys(T=2), CH, np.zeros(2), ReplicationStream(0, 0), sim)
         assert cost == pytest.approx(1.51, rel=1e-14)
 
     def test_same_stream_same_cost(self):
