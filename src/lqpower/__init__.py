@@ -28,12 +28,10 @@ from .optimizer import (
     stationary_success,
 )
 from .simulator import (
-    ReplicationStream,
     SimConfig,
     SimReport,
     baseline_policy,
     monte_carlo_cost,
-    simulate_replication,
 )
 
 __version__ = "0.1.0"
@@ -59,8 +57,6 @@ __all__ = [
     "optimize_policy",
     "SimConfig",
     "SimReport",
-    "ReplicationStream",
-    "simulate_replication",
     "monte_carlo_cost",
     "baseline_policy",
     "__version__",

@@ -51,6 +51,14 @@ MAX_ENUMERATION_HORIZON = 14
 # Parameter containers
 # ----------------------------------------------------------------------------
 
+def _require_finite(params, section: str, names: tuple[str, ...]) -> None:
+    """Reject NaN and infinite values, naming the key."""
+    for name in names:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{section}.{name} must be finite (got {value})")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Plant, feedback-gain and cost-weight parameters (defaults: fig2 nominal)."""
@@ -65,6 +73,7 @@ class SystemParams:
     T: int = 30             # horizon, >= 1
 
     def __post_init__(self):
+        _require_finite(self, "sys", ("a", "b", "k", "q", "r", "sigma_x2", "sigma_d2"))
         if not self.q > 0:
             raise ValueError(f"sys.q must be > 0 (got {self.q})")
         if not self.r > 0:
@@ -98,6 +107,7 @@ class ChannelParams:
     p_max: float = 3.0      # transmit power cap
 
     def __post_init__(self):
+        _require_finite(self, "ch", ("gamma", "sigma2", "gbar", "p_max"))
         for name in ("gamma", "sigma2", "gbar", "p_max"):
             if not getattr(self, name) > 0:
                 raise ValueError(
@@ -267,6 +277,19 @@ def forward_second_moments(
     same two products and two sums in the same order as over numpy scalars.
     Raises ValueError naming the first slot whose moment is not finite.
     """
+    ex2 = _forward_pass(sys, pi, ex2_1)
+    # inf and nan carry through every later step: the last moment is
+    # finite only if all are
+    if not math.isfinite(ex2[-1]):
+        t = next(t for t, v in enumerate(ex2) if not math.isfinite(v))
+        raise ValueError(
+            f"second moment E[x_t^2] is not finite at slot t = {t + 1} "
+            f"of T = {len(ex2)}")
+    return np.array(ex2)
+
+
+def _forward_pass(sys: SystemParams, pi: np.ndarray, ex2_1: float) -> list[float]:
+    """The loop of :func:`forward_second_moments`, without its check."""
     if ex2_1 < 0:
         raise ValueError(f"ex2_1 must be >= 0 (got {ex2_1})")
     pi = np.asarray(pi, dtype=float)
@@ -276,18 +299,14 @@ def forward_second_moments(
     for p in pi[:-1].tolist():
         m = (a2 + c * p) * m + sigma_d2
         ex2.append(m)
-    # inf and nan carry through every later step: the last moment is
-    # finite only if all are
-    if not math.isfinite(m):
-        t = next(t for t, v in enumerate(ex2) if not math.isfinite(v))
-        raise ValueError(
-            f"second moment E[x_t^2] is not finite at slot t = {t + 1} "
-            f"of T = {len(ex2)}")
-    return np.array(ex2)
+    return ex2
 
 
 def backward_tables(
-    sys: SystemParams, ch: ChannelParams, pi: np.ndarray
+    sys: SystemParams,
+    ch: ChannelParams,
+    pi: np.ndarray,
+    ex2_1: float | None = None,
 ) -> RecursionTables:
     """Tail cost tables fbar and fs of a success vector, by backward pass.
 
@@ -298,6 +317,9 @@ def backward_tables(
     slot does not transmit (the optimal terminal choice).  The loop runs
     over Python floats in the same operation order as over numpy scalars.
     Raises ValueError naming the slot where a tail factor first stops being
+    finite.  Given the initial second moment ex2_1, it raises only where a
+    non-finite tail factor meets a nonzero second moment: over a state that
+    is 0 almost surely the tail factors can overflow and the cost stay
     finite.
     """
     pi = np.asarray(pi, dtype=float)
@@ -314,12 +336,14 @@ def backward_tables(
         fbar.append(f)
         fs.append(s)
     # inf and nan carry through every later step: fs[0] is finite only if
-    # every fbar and fs is
+    # every fbar and fs is, and the non-finite ones are those of the
+    # 0-based slots 0 .. T - i
     if not math.isfinite(s):
         i = next(i for i, v in enumerate(fs) if not math.isfinite(v))
-        raise ValueError(
-            f"tail factor is not finite at slot t = {sys.T - i + 1} "
-            f"of T = {sys.T}")
+        if ex2_1 is None or any(_forward_pass(sys, pi, ex2_1)[:sys.T - i + 1]):
+            raise ValueError(
+                f"tail factor is not finite at slot t = {sys.T - i + 1} "
+                f"of T = {sys.T}")
     return RecursionTables(fbar=np.array(fbar[::-1]), fs=np.array(fs[::-1]))
 
 
@@ -329,9 +353,10 @@ def compute_tables(
     """Backward and forward passes together, as one table set.
 
     Validates pi once (in the backward pass); raises ValueError when a
-    second moment or a tail factor is not finite.
+    second moment is not finite, or a tail factor at a slot whose second
+    moment is nonzero.
     """
-    tables = backward_tables(sys, ch, pi)
+    tables = backward_tables(sys, ch, pi, ex2_1)
     tables.ex2 = forward_second_moments(sys, pi, ex2_1)
     return tables
 

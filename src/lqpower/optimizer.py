@@ -70,8 +70,9 @@ class OptimizerConfig:
                 f"opt.k_max must be null or an integer >= 1 (got {self.k_max})")
         if not self.eps_cost > 0:
             raise ValueError(f"opt.eps_cost must be > 0 (got {self.eps_cost})")
-        if self.ex2_1 is not None and self.ex2_1 < 0:
-            raise ValueError(f"opt.ex2_1 must be >= 0 (got {self.ex2_1})")
+        if self.ex2_1 is not None and not 0 <= self.ex2_1 < math.inf:
+            raise ValueError(
+                f"opt.ex2_1 must be null or a finite number >= 0 (got {self.ex2_1})")
         if self.init not in ("zero", "full"):
             raise ValueError(f"opt.init must be 'zero' or 'full' (got {self.init!r})")
 
@@ -138,7 +139,10 @@ def slot_candidates(
     if tables.ex2 is None:
         raise ValueError("tables.ex2 missing: run the forward pass first")
     pi = np.asarray(pi, dtype=float)
-    A = tables.ex2 * (sys.r * sys.k**2 + sys.closed_loop_coeff * tables.fbar[1:])
+    tail = sys.r * sys.k**2 + sys.closed_loop_coeff * tables.fbar[1:]
+    # a slot whose state is 0 almost surely moves no cost through it, even
+    # where its tail factor has overflowed
+    A = np.multiply(tables.ex2, tail, out=np.zeros_like(tail), where=tables.ex2 > 0.0)
     pi_edge = min(_E_MINUS_2, ch.pi_max)
     descend = A + ch.theta / (pi_edge * math.log(pi_edge) ** 2) < 0.0
     pi0 = stationary_success(A, ch)

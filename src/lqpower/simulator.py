@@ -10,9 +10,10 @@ threshold.  Both realize the same success law.
 Randomness is counter-based: draw j of replication i is a pure function of
 (seed, i, j), produced by a SplitMix64-style mixer and mapped through exact
 inverse CDFs.  Replications therefore depend only on their own index, never
-on execution order, batch size, or thread assignment, and the vectorised
-batch path of :func:`monte_carlo_cost` reproduces :func:`simulate_replication`
-bit for bit.
+on execution order, batch size, or thread assignment.  The rollout runs a
+chunk of replications at once and makes each column of draws (draw j of
+every replication in the chunk) when a slot reads it, and only the columns
+that are read.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .model import ChannelParams, SystemParams, policy_to_success, validate_poli
 __all__ = [
     "SimConfig",
     "SimReport",
-    "ReplicationStream",
-    "simulate_replication",
     "monte_carlo_cost",
     "baseline_policy",
 ]
@@ -40,8 +39,9 @@ _INITIAL_STATES = ("gaussian", "fixed")
 _CHUNK = 1 << 15
 
 _U64 = np.uint64
+_U64_MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = _U64(0x9E3779B97F4A7C15)   # SplitMix64 stream increment
-_WEYL = _U64(0xD1342543DE82EF95)     # odd per-draw increment within a stream
+_WEYL_INT = 0xD1342543DE82EF95       # odd per-draw increment within a stream
 _MIX1 = _U64(0xBF58476D1CE4E5B9)
 _MIX2 = _U64(0x94D049BB133111EB)
 _U53_SCALE = 1.0 / (1 << 53)
@@ -71,6 +71,8 @@ class SimConfig:
                 f"(got {self.initial_state!r})")
         if not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"sim.seed must be an integer (got {self.seed!r})")
+        if not math.isfinite(self.x1):
+            raise ValueError(f"sim.x1 must be finite (got {self.x1})")
 
 
 @dataclass
@@ -96,116 +98,50 @@ class SimReport:
 # ----------------------------------------------------------------------------
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer: bijective 64-bit avalanche mix."""
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
+    """SplitMix64 finalizer, in place: bijective 64-bit avalanche mix."""
+    z ^= z >> _U64(30)
+    z *= _MIX1
+    z ^= z >> _U64(27)
+    z *= _MIX2
+    z ^= z >> _U64(31)
+    return z
 
 
 def _stream_keys(seed: int, indices: np.ndarray) -> np.ndarray:
     """Well-mixed 64-bit key of each replication stream."""
-    s = _U64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    with np.errstate(over="ignore"):
-        return _mix64(s + (indices.astype(_U64) + _U64(1)) * _GOLDEN)
+    s = _U64(int(seed) & _U64_MASK)
+    return _mix64(s + (indices.astype(_U64) + _U64(1)) * _GOLDEN)
 
 
-def _uniform_block(
-    seed: int, start: int, stop: int, n_draws: int, first_draw: int = 0
-) -> np.ndarray:
-    """Uniforms in (0, 1) for replications start..stop-1, n_draws each.
+def _uniform_column(keys: np.ndarray, j: int) -> np.ndarray:
+    """Draw j of every stream in `keys`: one uniform in (0, 1) per replication.
 
-    Row i - start holds draws j = first_draw..first_draw+n_draws-1 of
-    replication i; entry (i, j) depends only on (seed, i, j).
+    The bits are mix64(key + (j + 1) WEYL); their top 53 are scaled into
+    (0, 1), so the draw depends only on (seed, i, j).
     """
-    keys = _stream_keys(seed, np.arange(start, stop, dtype=np.int64))
-    ctr = (np.arange(first_draw, first_draw + n_draws, dtype=np.int64).astype(_U64)
-           + _U64(1)) * _WEYL
-    with np.errstate(over="ignore"):
-        bits = _mix64(keys[:, None] + ctr[None, :])
-    return (bits >> _U64(11)).astype(np.float64) * _U53_SCALE + 2.0**-54
-
-
-class ReplicationStream:
-    """Random stream of one replication: draw j depends only on (seed, index, j)."""
-
-    def __init__(self, seed: int, index: int):
-        self.seed = int(seed)
-        self.index = int(index)
-        self._pos = 0
-
-    def uniform(self, size: int) -> np.ndarray:
-        """Next `size` uniforms in (0, 1)."""
-        u = _uniform_block(self.seed, self.index, self.index + 1, size,
-                           first_draw=self._pos)[0]
-        self._pos += size
-        return u
+    z = _mix64(keys + _U64((j + 1) * _WEYL_INT & _U64_MASK))
+    z >>= _U64(11)
+    u = z.astype(np.float64)
+    u *= _U53_SCALE
+    u += 2.0**-54
+    return u
 
 
 # ----------------------------------------------------------------------------
 # Rollouts
 # ----------------------------------------------------------------------------
 
-def _erasures(
+def _receptions(
     u: np.ndarray, p_t: float, pi_t: float, ch: ChannelParams, channel_model: str
 ) -> np.ndarray:
-    """Reception indicators from the slot's channel uniforms."""
+    """Reception indicators from the slot's channel uniforms (overwrites u)."""
     if channel_model == "bernoulli":
         return u < pi_t
-    g = -ch.gbar * np.log(u)  # exponential gain, mean gbar
-    return g * p_t / ch.sigma2 >= ch.gamma
-
-
-def simulate_replication(
-    sys: SystemParams,
-    ch: ChannelParams,
-    policy: np.ndarray,
-    stream: ReplicationStream,
-    sim: SimConfig | None = None,
-    record: bool = False,
-):
-    """Roll out one closed-loop replication; returns its realized cost.
-
-    Consumes exactly 2T + 1 uniforms from `stream` in a fixed schedule
-    (initial state, T channel draws, T perturbation draws) regardless of
-    configuration, so replication layouts agree across channel models.  With
-    record=True also returns a dict of the x, z, u trajectories.
-    """
-    if sim is None:
-        sim = SimConfig()
-    p = np.asarray(policy, dtype=float)
-    validate_policy(p, ch)
-    T = sys.T
-    if len(p) != T:
-        raise ValueError(f"policy has length {len(p)}, expected T = {T}")
-    pi = policy_to_success(p, ch)
-
-    u = stream.uniform(2 * T + 1)
-    if sim.initial_state == "fixed":
-        x = sim.x1
-    else:
-        x = math.sqrt(sys.sigma_x2) * float(ndtri(u[0]))
-    sigma_d = math.sqrt(sys.sigma_d2)
-    rk2 = sys.r * sys.k**2
-
-    cost = 0.0
-    traj_x, traj_z, traj_u = [], [], []
-    for t in range(T):
-        z = bool(_erasures(u[1 + t], p[t], pi[t], ch, sim.channel_model))
-        xz = x if z else 0.0
-        cost += sys.q * x * x + rk2 * xz * xz + p[t]
-        if record:
-            traj_x.append(x)
-            traj_z.append(z)
-            traj_u.append(sys.k * xz)
-        d = sigma_d * float(ndtri(u[1 + T + t])) if sigma_d > 0 else 0.0
-        x = sys.a * x + sys.b * sys.k * xz + d
-    if record:
-        return cost, {
-            "x": np.asarray(traj_x),
-            "z": np.asarray(traj_z),
-            "u": np.asarray(traj_u),
-        }
-    return cost
+    g = np.log(u, out=u)   # exponential gain -gbar ln u, mean gbar
+    g *= -ch.gbar
+    g *= p_t
+    g /= ch.sigma2
+    return g >= ch.gamma
 
 
 def monte_carlo_cost(
@@ -217,10 +153,18 @@ def monte_carlo_cost(
 ) -> SimReport:
     """Average `sim.n_samples` independent replications of a policy.
 
-    Deterministic given (seed, config); replication i of the vectorised batch
-    is identical to simulate_replication with ReplicationStream(seed, i).
-    Aggregation merges per-chunk moments with the standard parallel
-    mean/variance combination, so the result is independent of chunking.
+    Deterministic given (seed, config).  Replication i reads draw j of its
+    stream (seed, i) in a fixed layout: j = 0 is the initial state, j = 1..T
+    the channels of slots 1..T and j = T+1..2T their perturbations.  A draw
+    that is not read (a fixed initial state, sigma_d2 = 0, a silent slot) is
+    skipped, never shifted onto another, so each replication's cost depends
+    only on (seed, i), not on n_samples or the chunking.  Replications run
+    in chunks whose moments are merged by the parallel mean/variance
+    combination; that merge rounds differently for other chunk sizes, so
+    mean_cost and std_err depend on the chunk size in their last bits.
+
+    Raises ValueError when the mean cost, its standard error or a per-slot
+    mean is not finite (a state or a cost overflowed).
     """
     p = np.asarray(policy, dtype=float)
     validate_policy(p, ch)
@@ -232,6 +176,7 @@ def monte_carlo_cost(
     sigma_d = math.sqrt(sys.sigma_d2)
     sigma_x = math.sqrt(sys.sigma_x2)
     rk2 = sys.r * sys.k**2
+    bk = sys.b * sys.k
 
     count = 0
     mean = 0.0
@@ -240,36 +185,52 @@ def monte_carlo_cost(
     input_sum = np.zeros(T)
     all_samples = [] if return_samples else None
 
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        u = _uniform_block(sim.seed, lo, hi, 2 * T + 1)
-        if sim.initial_state == "fixed":
-            x = np.full(hi - lo, float(sim.x1))
-        else:
-            x = sigma_x * ndtri(u[:, 0])
-        cost = np.zeros(hi - lo)
-        for t in range(T):
-            z = _erasures(u[:, 1 + t], p[t], pi[t], ch, sim.channel_model)
-            xz = np.where(z, x, 0.0)
-            state = sys.q * x * x
-            inp = rk2 * xz * xz
-            cost += state + inp + p[t]
-            state_sum[t] += state.sum()
-            input_sum[t] += inp.sum()
-            d = sigma_d * ndtri(u[:, 1 + T + t]) if sigma_d > 0 else 0.0
-            x = sys.a * x + sys.b * sys.k * xz + d
+    # an overflowing state or cost makes the statistics raise below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            keys = _stream_keys(sim.seed, np.arange(lo, hi, dtype=np.int64))
+            if sim.initial_state == "fixed":
+                x = np.full(hi - lo, float(sim.x1))
+            else:
+                x = sigma_x * ndtri(_uniform_column(keys, 0))
+            cost = np.zeros(hi - lo)
+            for t in range(T):
+                state = sys.q * x * x
+                state_sum[t] += state.sum()
+                x_next = sys.a * x
+                # pi_t = 0 receives nothing on either channel model (a gain-
+                # threshold reception would need -ln u >= theta/p_t > 745, and
+                # -ln u <= 54 ln 2), so a silent slot draws no channel
+                if pi[t] > 0.0:
+                    # x * z differs from "x where z, else 0" only at a state
+                    # that is not finite, and such a state makes the mean raise
+                    xz = x * _receptions(_uniform_column(keys, 1 + t), p[t], pi[t],
+                                         ch, sim.channel_model)
+                    inp = rk2 * xz * xz
+                    input_sum[t] += inp.sum()
+                    state += inp
+                    xz *= bk
+                    x_next += xz
+                state += p[t]
+                cost += state
+                if sigma_d > 0:
+                    d = ndtri(_uniform_column(keys, 1 + T + t))
+                    d *= sigma_d
+                    x_next += d
+                x = x_next
 
-        # merge the chunk into the running moments (parallel combination)
-        c_n = hi - lo
-        c_mean = float(cost.mean())
-        c_m2 = float(np.sum((cost - c_mean) ** 2))
-        delta = c_mean - mean
-        total = count + c_n
-        mean += delta * c_n / total
-        m2 += c_m2 + delta**2 * count * c_n / total
-        count = total
-        if return_samples:
-            all_samples.append(cost)
+            # merge the chunk into the running moments (parallel combination)
+            c_n = hi - lo
+            c_mean = float(cost.mean())
+            c_m2 = float(np.sum((cost - c_mean) ** 2))
+            delta = c_mean - mean
+            total = count + c_n
+            mean += delta * c_n / total
+            m2 += c_m2 + delta**2 * count * c_n / total
+            count = total
+            if return_samples:
+                all_samples.append(cost)
 
     if count > 1:
         std_err = math.sqrt(m2 / (count - 1)) / math.sqrt(count)
@@ -278,6 +239,11 @@ def monte_carlo_cost(
         std_err = 0.0
         std_err_valid = False
     per_slot = np.column_stack([state_sum / count, input_sum / count, p])
+    if not (math.isfinite(mean) and math.isfinite(std_err)
+            and np.isfinite(per_slot).all()):
+        raise ValueError(
+            f"Monte Carlo cost statistics are not finite (T = {T}): "
+            f"a state or a cost overflowed")
     return SimReport(
         mean_cost=mean,
         std_err=std_err,

@@ -1,7 +1,10 @@
 """Independent test-side oracles and random scenario generators.
 
 The direct sum/product transcriptions here deliberately use naive 1-based
-triple loops so they share no code path with the library's recursions.
+triple loops so they share no code path with the library's recursions.  The
+Monte Carlo references generate the whole block of 2T + 1 draws of every
+replication up front and roll it out slot by slot, one replication at a
+time or in chunks, as the library once did.
 """
 
 from __future__ import annotations
@@ -9,16 +12,21 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import ndtri
 
+import lqpower.simulator
 from lqpower import (
     ChannelParams,
     OptimizerConfig,
+    SimConfig,
+    SimReport,
     SystemParams,
     compute_tables,
     expected_cost,
     policy_to_success,
     success_to_power,
 )
+from lqpower.model import validate_policy
 from lqpower.optimizer import TIE_TOL
 
 
@@ -214,3 +222,204 @@ def reference_sweep(
         new_policy[best_t] = success_to_power(best_v, ch)
         return new_policy, best_cost
     return np.array(policy, dtype=float), incumbent_cost
+
+
+# ----------------------------------------------------------------------------
+# Monte Carlo references: whole blocks of draws
+# ----------------------------------------------------------------------------
+
+_U64 = np.uint64
+_GOLDEN = _U64(0x9E3779B97F4A7C15)   # SplitMix64 stream increment
+_WEYL = _U64(0xD1342543DE82EF95)     # odd per-draw increment within a stream
+_MIX1 = _U64(0xBF58476D1CE4E5B9)
+_MIX2 = _U64(0x94D049BB133111EB)
+_U53_SCALE = 1.0 / (1 << 53)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer: bijective 64-bit avalanche mix."""
+    z = (z ^ (z >> _U64(30))) * _MIX1
+    z = (z ^ (z >> _U64(27))) * _MIX2
+    return z ^ (z >> _U64(31))
+
+
+def _stream_keys(seed: int, indices: np.ndarray) -> np.ndarray:
+    """Well-mixed 64-bit key of each replication stream."""
+    s = _U64(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    with np.errstate(over="ignore"):
+        return _mix64(s + (indices.astype(_U64) + _U64(1)) * _GOLDEN)
+
+
+def _uniform_block(
+    seed: int, start: int, stop: int, n_draws: int, first_draw: int = 0
+) -> np.ndarray:
+    """Uniforms in (0, 1) for replications start..stop-1, n_draws each.
+
+    Row i - start holds draws j = first_draw..first_draw+n_draws-1 of
+    replication i; entry (i, j) depends only on (seed, i, j).
+    """
+    keys = _stream_keys(seed, np.arange(start, stop, dtype=np.int64))
+    ctr = (np.arange(first_draw, first_draw + n_draws, dtype=np.int64).astype(_U64)
+           + _U64(1)) * _WEYL
+    with np.errstate(over="ignore"):
+        bits = _mix64(keys[:, None] + ctr[None, :])
+    return (bits >> _U64(11)).astype(np.float64) * _U53_SCALE + 2.0**-54
+
+
+class ReplicationStream:
+    """Random stream of one replication: draw j depends only on (seed, index, j)."""
+
+    def __init__(self, seed: int, index: int):
+        self.seed = int(seed)
+        self.index = int(index)
+        self._pos = 0
+
+    def uniform(self, size: int) -> np.ndarray:
+        """Next `size` uniforms in (0, 1)."""
+        u = _uniform_block(self.seed, self.index, self.index + 1, size,
+                           first_draw=self._pos)[0]
+        self._pos += size
+        return u
+
+
+def _erasures(
+    u: np.ndarray, p_t: float, pi_t: float, ch: ChannelParams, channel_model: str
+) -> np.ndarray:
+    """Reception indicators from the slot's channel uniforms."""
+    if channel_model == "bernoulli":
+        return u < pi_t
+    g = -ch.gbar * np.log(u)  # exponential gain, mean gbar
+    return g * p_t / ch.sigma2 >= ch.gamma
+
+
+def simulate_replication(
+    sys: SystemParams,
+    ch: ChannelParams,
+    policy: np.ndarray,
+    stream: ReplicationStream,
+    sim: SimConfig | None = None,
+    record: bool = False,
+):
+    """Roll out one closed-loop replication; returns its realized cost.
+
+    Consumes exactly 2T + 1 uniforms from `stream` in a fixed schedule
+    (initial state, T channel draws, T perturbation draws) regardless of
+    configuration, so replication layouts agree across channel models.  With
+    record=True also returns a dict of the x, z, u trajectories.
+    """
+    if sim is None:
+        sim = SimConfig()
+    p = np.asarray(policy, dtype=float)
+    validate_policy(p, ch)
+    T = sys.T
+    if len(p) != T:
+        raise ValueError(f"policy has length {len(p)}, expected T = {T}")
+    pi = policy_to_success(p, ch)
+
+    u = stream.uniform(2 * T + 1)
+    if sim.initial_state == "fixed":
+        x = sim.x1
+    else:
+        x = math.sqrt(sys.sigma_x2) * float(ndtri(u[0]))
+    sigma_d = math.sqrt(sys.sigma_d2)
+    rk2 = sys.r * sys.k**2
+
+    cost = 0.0
+    traj_x, traj_z, traj_u = [], [], []
+    for t in range(T):
+        z = bool(_erasures(u[1 + t], p[t], pi[t], ch, sim.channel_model))
+        xz = x if z else 0.0
+        cost += sys.q * x * x + rk2 * xz * xz + p[t]
+        if record:
+            traj_x.append(x)
+            traj_z.append(z)
+            traj_u.append(sys.k * xz)
+        d = sigma_d * float(ndtri(u[1 + T + t])) if sigma_d > 0 else 0.0
+        x = sys.a * x + sys.b * sys.k * xz + d
+    if record:
+        return cost, {
+            "x": np.asarray(traj_x),
+            "z": np.asarray(traj_z),
+            "u": np.asarray(traj_u),
+        }
+    return cost
+
+
+def reference_monte_carlo(
+    sys: SystemParams,
+    ch: ChannelParams,
+    policy: np.ndarray,
+    sim: SimConfig,
+    return_samples: bool = False,
+) -> SimReport:
+    """Average `sim.n_samples` independent replications of a policy.
+
+    The library's Monte Carlo as it was before it drew columns on demand:
+    each chunk of replications builds its whole (n x 2T+1) block of draws
+    and reads it column by column.  The chunk size is the library's.
+    """
+    p = np.asarray(policy, dtype=float)
+    validate_policy(p, ch)
+    T = sys.T
+    if len(p) != T:
+        raise ValueError(f"policy has length {len(p)}, expected T = {T}")
+    pi = policy_to_success(p, ch)
+    n = sim.n_samples
+    sigma_d = math.sqrt(sys.sigma_d2)
+    sigma_x = math.sqrt(sys.sigma_x2)
+    rk2 = sys.r * sys.k**2
+    chunk = lqpower.simulator._CHUNK
+
+    count = 0
+    mean = 0.0
+    m2 = 0.0
+    state_sum = np.zeros(T)
+    input_sum = np.zeros(T)
+    all_samples = [] if return_samples else None
+
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        u = _uniform_block(sim.seed, lo, hi, 2 * T + 1)
+        if sim.initial_state == "fixed":
+            x = np.full(hi - lo, float(sim.x1))
+        else:
+            x = sigma_x * ndtri(u[:, 0])
+        cost = np.zeros(hi - lo)
+        for t in range(T):
+            z = _erasures(u[:, 1 + t], p[t], pi[t], ch, sim.channel_model)
+            xz = np.where(z, x, 0.0)
+            state = sys.q * x * x
+            inp = rk2 * xz * xz
+            cost += state + inp + p[t]
+            state_sum[t] += state.sum()
+            input_sum[t] += inp.sum()
+            d = sigma_d * ndtri(u[:, 1 + T + t]) if sigma_d > 0 else 0.0
+            x = sys.a * x + sys.b * sys.k * xz + d
+
+        # merge the chunk into the running moments (parallel combination)
+        c_n = hi - lo
+        c_mean = float(cost.mean())
+        c_m2 = float(np.sum((cost - c_mean) ** 2))
+        delta = c_mean - mean
+        total = count + c_n
+        mean += delta * c_n / total
+        m2 += c_m2 + delta**2 * count * c_n / total
+        count = total
+        if return_samples:
+            all_samples.append(cost)
+
+    if count > 1:
+        std_err = math.sqrt(m2 / (count - 1)) / math.sqrt(count)
+        std_err_valid = True
+    else:
+        std_err = 0.0
+        std_err_valid = False
+    per_slot = np.column_stack([state_sum / count, input_sum / count, p])
+    return SimReport(
+        mean_cost=mean,
+        std_err=std_err,
+        per_slot=per_slot,
+        n_samples=count,
+        std_err_valid=std_err_valid,
+        samples=np.concatenate(all_samples) if return_samples else None,
+    )

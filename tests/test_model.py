@@ -5,6 +5,7 @@ import pytest
 
 from lqpower import (
     ChannelParams,
+    OptimizerConfig,
     RecursionTables,
     SystemParams,
     backward_tables,
@@ -13,6 +14,7 @@ from lqpower import (
     expected_cost,
     expected_cost_enumerated,
     forward_second_moments,
+    optimize_policy,
     policy_to_success,
     power_to_success,
     success_to_power,
@@ -105,6 +107,18 @@ class TestParamValidation:
         kw[field] = 0.0
         with pytest.raises(ValueError, match=field):
             ChannelParams(**kw)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("section,field", [
+        *[("sys", f) for f in ("a", "b", "k", "q", "r", "sigma_x2", "sigma_d2")],
+        *[("ch", f) for f in ("gamma", "sigma2", "gbar", "p_max")],
+    ])
+    def test_non_finite_rejected(self, section, field, value):
+        make = _sys if section == "sys" else (
+            lambda **kw: ChannelParams(**{**vars(CH), **kw}))
+        with pytest.raises(ValueError,
+                           match=rf"^{section}\.{field} must be finite \(got {value}\)$"):
+            make(**{field: value})
 
     def test_success_vector_range(self):
         with pytest.raises(ValueError):
@@ -250,6 +264,21 @@ class TestNonFiniteMoments:
         # the forward pass on its own reports the moment overflow
         with pytest.raises(ValueError, match=r"second moment .* slot t = 325 of T = 700"):
             forward_second_moments(s, np.zeros(s.T), 1.0)
+
+    def test_overflowing_tails_over_a_zero_state(self):
+        # x_1 = 0 and no perturbation: the state is 0 almost surely, the cost
+        # is 0 although the tail factors overflow from slot 77 on
+        s = SystemParams(**dict(self.UNSTABLE, sigma_x2=0.0, sigma_d2=0.0, T=400))
+        tab = compute_tables(s, CH, np.zeros(s.T), 0.0)
+        assert not np.isfinite(tab.fbar[0]) and not np.any(tab.ex2)
+        trace = optimize_policy(s, CH, OptimizerConfig(ex2_1=0.0))
+        assert trace.cost == 0.0 and trace.converged
+        assert not np.any(trace.policy)
+        # a nonzero moment meeting those tails still raises
+        with pytest.raises(ValueError, match=r"tail factor .* slot t = 77 of T = 400"):
+            compute_tables(s, CH, np.zeros(s.T), 1e-300)
+        with pytest.raises(ValueError, match=r"tail factor .* slot t = 77 of T = 400"):
+            backward_tables(s, CH, np.zeros(s.T))
 
     def test_stable_long_horizon_stays_finite(self):
         s = SystemParams(**dict(self.UNSTABLE, a=1.1, T=3000))

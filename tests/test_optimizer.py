@@ -366,6 +366,9 @@ class TestOptimizePolicy:
             OptimizerConfig(eps_cost=0.0)
         with pytest.raises(ValueError, match="init"):
             OptimizerConfig(init="warm")
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"opt\.ex2_1 .* finite"):
+                OptimizerConfig(ex2_1=bad)
 
 
 def _descent(sweep, s, ch, cfg):

@@ -1,21 +1,28 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import lqpower.simulator as simmod
 from lqpower import (
     ChannelParams,
-    ReplicationStream,
     SimConfig,
     SystemParams,
     baseline_policy,
     expected_cost,
     monte_carlo_cost,
     policy_to_success,
+)
+from lqpower.simulator import _stream_keys, _uniform_column
+from oracles import (
+    ReplicationStream,
+    _uniform_block,
+    random_channel,
+    random_system,
+    reference_monte_carlo,
     simulate_replication,
 )
-from lqpower.simulator import _uniform_block
-from oracles import random_channel, random_system
 
 CH = ChannelParams(gamma=1.0, sigma2=1.0, gbar=1.0, p_max=3.0)
 
@@ -26,16 +33,35 @@ def _sys(**kw):
     return SystemParams(**base)
 
 
+def _columns(seed, start, stop, draws):
+    """Draws `draws` of replications start..stop-1, one column per draw."""
+    keys = _stream_keys(seed, np.arange(start, stop, dtype=np.int64))
+    return np.column_stack([_uniform_column(keys, j) for j in draws])
+
+
 class TestUniformStreams:
     def test_range_and_determinism(self):
-        u = _uniform_block(123, 0, 1000, 8)
+        u = _columns(123, 0, 1000, range(8))
         assert np.all((u > 0) & (u < 1))
-        assert np.array_equal(u, _uniform_block(123, 0, 1000, 8))
+        assert np.array_equal(u, _columns(123, 0, 1000, range(8)))
 
     def test_rows_depend_only_on_index(self):
-        whole = _uniform_block(9, 0, 64, 5)
-        part = _uniform_block(9, 17, 40, 5)
+        whole = _columns(9, 0, 64, range(5))
+        part = _columns(9, 17, 40, range(5))
         assert np.array_equal(whole[17:40], part)
+
+    def test_columns_are_the_block_columns(self):
+        # each column made on demand holds the bits of that column of the
+        # whole block, whichever other columns are made
+        block = _uniform_block(31, 5, 300, 61)
+        draws = [0, 60, 3, 31, 2]
+        assert np.array_equal(_columns(31, 5, 300, draws), block[:, draws])
+        big = np.array([2**40, 2**62 + 7])
+        keys = _stream_keys(31, big)
+        for j in (0, 17, 2**33):
+            want = np.array([_uniform_block(31, int(i), int(i) + 1, 1, first_draw=j)[0, 0]
+                             for i in big])
+            assert np.array_equal(_uniform_column(keys, j), want)
 
     def test_stream_continuation(self):
         s1 = ReplicationStream(5, 3)
@@ -52,12 +78,12 @@ class TestUniformStreams:
         assert np.array_equal(_uniform_block(11, 0, 9, 9, first_draw=31)[6], row[31:])
 
     def test_seeds_decorrelate(self):
-        a = _uniform_block(1, 0, 4000, 1)[:, 0]
-        b = _uniform_block(2, 0, 4000, 1)[:, 0]
+        a = _columns(1, 0, 4000, [0])[:, 0]
+        b = _columns(2, 0, 4000, [0])[:, 0]
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
     def test_marginals_are_uniform(self):
-        u = _uniform_block(77, 0, 200_000, 1)[:, 0]
+        u = _columns(77, 0, 200_000, [0])[:, 0]
         assert abs(u.mean() - 0.5) < 4 * (1 / math.sqrt(12 * len(u)))
         assert abs(u.var() - 1 / 12) < 1e-3
 
@@ -72,7 +98,7 @@ class TestSimulateReplication:
 
     def test_forced_reception_hook(self, monkeypatch):
         # success in slot 1 only, power clamped to 0: (1 + 0.5) + 0.01
-        monkeypatch.setattr("lqpower.simulator.policy_to_success",
+        monkeypatch.setattr("oracles.policy_to_success",
                             lambda policy, ch: np.array([1.0, 0.0]))
         sim = SimConfig(initial_state="fixed", x1=1.0)
         cost = simulate_replication(
@@ -100,6 +126,20 @@ class TestSimulateReplication:
         assert np.all((traj["u"] != 0) <= traj["z"])
 
 
+# (channel model, initial state, perturbed, policy, replications); 70,001
+# replications cross two chunk boundaries
+_REFERENCE_CASES = [
+    *[(model, init, noisy, kind, 3001)
+      for model in ("bernoulli", "gain_threshold")
+      for init in ("gaussian", "fixed")
+      for noisy in (False, True)
+      for kind in ("mixed", "zero", "p_max")],
+    *[(model, "gaussian", noisy, "mixed", 70_001)
+      for model in ("bernoulli", "gain_threshold")
+      for noisy in (False, True)],
+]
+
+
 class TestMonteCarlo:
     def test_batch_matches_scalar_path(self):
         s = _sys(a=1.1, k=1.8, sigma_d2=0.05, T=7)
@@ -112,6 +152,61 @@ class TestMonteCarlo:
                 for i in range(50)
             ])
             assert np.array_equal(rep.samples, scalar)
+
+    @pytest.mark.parametrize("case", range(len(_REFERENCE_CASES)),
+                             ids=["-".join(map(str, c)) for c in _REFERENCE_CASES])
+    def test_matches_whole_block_reference(self, case):
+        # drawing columns on demand, and only those read, keeps every bit of
+        # the whole-block rollout: the mean, its error, the per-slot sums
+        # and every replication's cost
+        model, initial_state, noisy, kind, n = _REFERENCE_CASES[case]
+        rng = np.random.default_rng(1000 + case)
+        s = random_system(rng, t_max=12)
+        s = replace(s, sigma_d2=rng.uniform(0.01, 0.5) if noisy else 0.0)
+        ch = random_channel(rng)
+        if kind == "zero":
+            pol = np.zeros(s.T)
+        elif kind == "p_max":
+            pol = np.full(s.T, ch.p_max)
+        else:
+            pol = rng.uniform(0.0, ch.p_max, s.T)
+            pol[rng.random(s.T) < 0.4] = 0.0
+            pol[rng.integers(s.T)] = ch.p_max
+        sim = SimConfig(n_samples=n, seed=int(rng.integers(2**63)),
+                        channel_model=model, initial_state=initial_state,
+                        x1=rng.uniform(-2.0, 2.0))
+        got = monte_carlo_cost(s, ch, pol, sim, return_samples=True)
+        want = reference_monte_carlo(s, ch, pol, sim, return_samples=True)
+        assert got.mean_cost == want.mean_cost
+        assert got.std_err == want.std_err
+        assert np.array_equal(got.per_slot, want.per_slot)
+        assert np.array_equal(got.samples, want.samples)
+
+    def test_draws_only_what_is_read(self, monkeypatch):
+        read = []
+        make = simmod._uniform_column
+
+        def spy(keys, j):
+            read.append(j)
+            return make(keys, j)
+
+        monkeypatch.setattr(simmod, "_uniform_column", spy)
+        s = _sys(T=5)
+        pol = np.array([2.0, 0.0, 1.0, 0.0, 0.0])
+        # fixed x1, no perturbation: only the channels of the sending slots
+        monte_carlo_cost(s, CH, pol, SimConfig(n_samples=10, initial_state="fixed"))
+        assert read == [1, 3]
+        read.clear()
+        # draw 0 is x1, draws 1..5 the channels, 6..10 the perturbations
+        monte_carlo_cost(replace(s, sigma_d2=0.1), CH, pol,
+                         SimConfig(n_samples=10, channel_model="gain_threshold"))
+        assert read == [0, 1, 6, 7, 3, 8, 9, 10]
+
+    def test_overflowing_rollout_raises(self):
+        # x_t = 3^(t-1) from x1 = 1: the state cost overflows at slot 324
+        sim = SimConfig(n_samples=4, initial_state="fixed")
+        with pytest.raises(ValueError, match="statistics are not finite"):
+            monte_carlo_cost(_sys(a=3.0, T=400), CH, np.zeros(400), sim)
 
     def test_bit_identical_reruns(self):
         s = _sys(sigma_d2=0.3, T=8)
@@ -133,7 +228,6 @@ class TestMonteCarlo:
         assert np.array_equal(small.samples, large.samples[:60])
 
     def test_chunking_does_not_change_results(self, monkeypatch):
-        import lqpower.simulator as simmod
         s = _sys(sigma_d2=0.1, T=5)
         pol = np.array([2.0, 1.0, 0.5, 0.2, 0.0])
         sim = SimConfig(n_samples=1000, seed=5)
@@ -209,7 +303,7 @@ class TestMonteCarlo:
     def test_gain_threshold_matches_success_law(self):
         n = 100_000
         for j, p in enumerate(np.linspace(0.3, CH.p_max, 8)):
-            u = _uniform_block(500 + j, 0, n, 1)[:, 0]
+            u = _columns(500 + j, 0, n, [0])[:, 0]
             gains = -CH.gbar * np.log(u)
             freq = np.mean(gains * p / CH.sigma2 >= CH.gamma)
             pi = math.exp(-CH.theta / p)
@@ -239,6 +333,11 @@ class TestSimConfigValidation:
     def test_bad_channel_model(self):
         with pytest.raises(ValueError, match="channel_model"):
             SimConfig(channel_model="awgn")
+
+    @pytest.mark.parametrize("x1", [math.nan, math.inf, -math.inf])
+    def test_bad_x1(self, x1):
+        with pytest.raises(ValueError, match=r"sim\.x1 must be finite"):
+            SimConfig(initial_state="fixed", x1=x1)
 
     def test_bad_initial_state(self):
         with pytest.raises(ValueError, match="initial_state"):
