@@ -32,6 +32,7 @@ from .simulator import (
     SimReport,
     baseline_policy,
     monte_carlo_cost,
+    monte_carlo_costs,
 )
 
 __version__ = "0.1.0"
@@ -58,6 +59,7 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "monte_carlo_cost",
+    "monte_carlo_costs",
     "baseline_policy",
     "__version__",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import ChannelParams, SystemParams
 from .optimizer import OptimizerConfig, optimize_policy
-from .simulator import SimConfig, baseline_policy, monte_carlo_cost
+from .simulator import SimConfig, baseline_policy, monte_carlo_cost, monte_carlo_costs
 
 __all__ = [
     "ExperimentConfig",
@@ -286,8 +286,9 @@ def run_compare(
 ) -> dict:
     """Optimize and Monte Carlo-evaluate proposed vs full-power vs open-loop.
 
-    Every policy at a given horizon is evaluated with the same seed (common
-    random numbers), so the comparison is deterministic given the config.
+    The three policies of a horizon share one Monte Carlo rollout and one
+    set of draws (common random numbers), so the comparison is deterministic
+    given the config and each policy's statistics are those it gets alone.
     Writes comparison.csv.
     """
     out = _out_dir(cfg, out_dir)
@@ -305,8 +306,8 @@ def run_compare(
             "full": baseline_policy("full_power", cfg.ch, T),
             "open": baseline_policy("open_loop", cfg.ch, T),
         }
-        reports = {name: monte_carlo_cost(sys_T, cfg.ch, pol, cfg.sim)
-                   for name, pol in policies.items()}
+        reports = dict(zip(policies, monte_carlo_costs(
+            sys_T, cfg.ch, list(policies.values()), cfg.sim)))
         rows.append(",".join([
             str(T),
             _fmt(reports["proposed"].mean_cost), _fmt(reports["proposed"].std_err),

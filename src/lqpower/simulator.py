@@ -13,7 +13,10 @@ inverse CDFs.  Replications therefore depend only on their own index, never
 on execution order, batch size, or thread assignment.  The rollout runs a
 chunk of replications at once and makes each column of draws (draw j of
 every replication in the chunk) when a slot reads it, and only the columns
-that are read.
+that are read; the perturbation of the last slot only moves the state past
+the horizon and is never drawn.  Several policies compared with common
+random numbers share one rollout and one set of draws: each column is made
+once per chunk and every policy advances its own state over it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "monte_carlo_cost",
+    "monte_carlo_costs",
     "baseline_policy",
 ]
 
@@ -128,20 +132,148 @@ def _uniform_column(keys: np.ndarray, j: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
-# Rollouts
+# Rollout
 # ----------------------------------------------------------------------------
 
-def _receptions(
-    u: np.ndarray, p_t: float, pi_t: float, ch: ChannelParams, channel_model: str
-) -> np.ndarray:
-    """Reception indicators from the slot's channel uniforms (overwrites u)."""
-    if channel_model == "bernoulli":
-        return u < pi_t
-    g = np.log(u, out=u)   # exponential gain -gbar ln u, mean gbar
-    g *= -ch.gbar
-    g *= p_t
-    g /= ch.sigma2
-    return g >= ch.gamma
+def monte_carlo_costs(
+    sys: SystemParams,
+    ch: ChannelParams,
+    policies,
+    sim: SimConfig,
+    return_samples: bool = False,
+) -> list[SimReport]:
+    """Average `sim.n_samples` replications of each policy over common draws.
+
+    All policies share one rollout and one set of draws: per chunk, each
+    column is made once, and only if some policy reads it, and every policy
+    advances its own state over it.  Each report is bit for bit the one the
+    policy gets alone, since a policy's arithmetic does not depend on the
+    others.  Replication i reads draw j of its stream (seed, i) in a fixed
+    layout: j = 0 is the initial state, j = 1..T the channels of slots 1..T
+    and j = T+1..2T their perturbations.  A draw that is not read is skipped,
+    never shifted onto another: a fixed initial state, sigma_d2 = 0, a slot
+    in which no policy sends, and the last perturbation, which only moves
+    the state past the horizon.  So each replication's cost depends only on
+    (seed, i), not on n_samples or the chunking.  Replications run in
+    chunks whose moments are merged by the parallel mean/variance
+    combination; that merge rounds differently for other chunk sizes, so
+    mean_cost and std_err depend on the chunk size in their last bits.
+
+    Raises ValueError naming T and the policy's index when a policy's mean
+    cost, its standard error or a per-slot mean is not finite (a state or a
+    cost overflowed).
+    """
+    T = sys.T
+    ps = []
+    for i, policy in enumerate(policies):
+        p = np.asarray(policy, dtype=float)
+        validate_policy(p, ch)
+        if len(p) != T:
+            raise ValueError(
+                f"policy {i} has length {len(p)}, expected T = {T}")
+        ps.append(p)
+    m = len(ps)
+    pis = [policy_to_success(p, ch) for p in ps]
+    # pi_t = 0 receives nothing on either channel model (a gain-threshold
+    # reception would need -ln u >= theta/p_t > 745, and -ln u <= 54 ln 2),
+    # so a slot in which no policy sends draws no channel
+    sending = [any(pi[t] > 0.0 for pi in pis) for t in range(T)]
+    n = sim.n_samples
+    sigma_d = math.sqrt(sys.sigma_d2)
+    sigma_x = math.sqrt(sys.sigma_x2)
+    q, a = sys.q, sys.a
+    rk2 = sys.r * sys.k**2
+    bk = sys.b * sys.k
+    gain = sim.channel_model == "gain_threshold"
+
+    count = 0
+    mean = [0.0] * m
+    m2 = [0.0] * m
+    state_sum = np.zeros((m, T))
+    input_sum = np.zeros((m, T))
+    all_samples = [[] for _ in range(m)]
+
+    # an overflowing state or cost makes the statistics raise below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            keys = _stream_keys(sim.seed, np.arange(lo, hi, dtype=np.int64))
+            if sim.initial_state == "fixed":
+                xs = [np.full(hi - lo, float(sim.x1))] * m
+            else:
+                xs = [sigma_x * ndtri(_uniform_column(keys, 0))] * m
+            costs = [np.zeros(hi - lo) for _ in range(m)]
+            for t in range(T):
+                last = t == T - 1
+                if sending[t]:
+                    c = _uniform_column(keys, 1 + t)
+                    if gain:   # exponential gains -gbar ln u, mean gbar
+                        c = np.log(c, out=c)
+                        c *= -ch.gbar
+                for k in range(m):
+                    x = xs[k]
+                    state = q * x * x
+                    state_sum[k, t] += state.sum()
+                    if not last:
+                        x_next = a * x
+                    if pis[k][t] > 0.0:
+                        if gain:
+                            z = c * ps[k][t]
+                            z /= ch.sigma2
+                            z = z >= ch.gamma
+                        else:
+                            z = c < pis[k][t]
+                        # x * z differs from "x where z, else 0" only at a
+                        # state that is not finite, which makes the mean raise
+                        xz = x * z
+                        inp = rk2 * xz * xz
+                        input_sum[k, t] += inp.sum()
+                        state += inp
+                        if not last:
+                            xz *= bk
+                            x_next += xz
+                    state += ps[k][t]
+                    costs[k] += state
+                    if not last:
+                        xs[k] = x_next
+                if sigma_d > 0 and not last:
+                    d = ndtri(_uniform_column(keys, 1 + T + t))
+                    d *= sigma_d
+                    for x in xs:   # each policy's own x_next, made above
+                        x += d
+
+            # merge the chunk into the running moments (parallel combination)
+            c_n = hi - lo
+            total = count + c_n
+            for k, cost in enumerate(costs):
+                c_mean = float(cost.mean())
+                c_m2 = float(np.sum((cost - c_mean) ** 2))
+                delta = c_mean - mean[k]
+                mean[k] += delta * c_n / total
+                m2[k] += c_m2 + delta**2 * count * c_n / total
+                if return_samples:
+                    all_samples[k].append(cost)
+            count = total
+
+    reports = []
+    for k, p in enumerate(ps):
+        std_err = (math.sqrt(m2[k] / (count - 1)) / math.sqrt(count)
+                   if count > 1 else 0.0)
+        per_slot = np.column_stack([state_sum[k] / count, input_sum[k] / count, p])
+        if not (math.isfinite(mean[k]) and math.isfinite(std_err)
+                and np.isfinite(per_slot).all()):
+            raise ValueError(
+                f"Monte Carlo cost statistics are not finite (T = {T}, "
+                f"policy {k}): a state or a cost overflowed")
+        reports.append(SimReport(
+            mean_cost=mean[k],
+            std_err=std_err,
+            per_slot=per_slot,
+            n_samples=count,
+            std_err_valid=count > 1,
+            samples=np.concatenate(all_samples[k]) if return_samples else None,
+        ))
+    return reports
 
 
 def monte_carlo_cost(
@@ -151,107 +283,13 @@ def monte_carlo_cost(
     sim: SimConfig,
     return_samples: bool = False,
 ) -> SimReport:
-    """Average `sim.n_samples` independent replications of a policy.
+    """Average `sim.n_samples` independent replications of one policy.
 
-    Deterministic given (seed, config).  Replication i reads draw j of its
-    stream (seed, i) in a fixed layout: j = 0 is the initial state, j = 1..T
-    the channels of slots 1..T and j = T+1..2T their perturbations.  A draw
-    that is not read (a fixed initial state, sigma_d2 = 0, a silent slot) is
-    skipped, never shifted onto another, so each replication's cost depends
-    only on (seed, i), not on n_samples or the chunking.  Replications run
-    in chunks whose moments are merged by the parallel mean/variance
-    combination; that merge rounds differently for other chunk sizes, so
-    mean_cost and std_err depend on the chunk size in their last bits.
-
-    Raises ValueError when the mean cost, its standard error or a per-slot
-    mean is not finite (a state or a cost overflowed).
+    The one-policy call of `monte_carlo_costs`, whose docstring gives the
+    draw layout and the determinism it keeps.  Raises ValueError when the
+    mean cost, its standard error or a per-slot mean is not finite.
     """
-    p = np.asarray(policy, dtype=float)
-    validate_policy(p, ch)
-    T = sys.T
-    if len(p) != T:
-        raise ValueError(f"policy has length {len(p)}, expected T = {T}")
-    pi = policy_to_success(p, ch)
-    n = sim.n_samples
-    sigma_d = math.sqrt(sys.sigma_d2)
-    sigma_x = math.sqrt(sys.sigma_x2)
-    rk2 = sys.r * sys.k**2
-    bk = sys.b * sys.k
-
-    count = 0
-    mean = 0.0
-    m2 = 0.0
-    state_sum = np.zeros(T)
-    input_sum = np.zeros(T)
-    all_samples = [] if return_samples else None
-
-    # an overflowing state or cost makes the statistics raise below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            keys = _stream_keys(sim.seed, np.arange(lo, hi, dtype=np.int64))
-            if sim.initial_state == "fixed":
-                x = np.full(hi - lo, float(sim.x1))
-            else:
-                x = sigma_x * ndtri(_uniform_column(keys, 0))
-            cost = np.zeros(hi - lo)
-            for t in range(T):
-                state = sys.q * x * x
-                state_sum[t] += state.sum()
-                x_next = sys.a * x
-                # pi_t = 0 receives nothing on either channel model (a gain-
-                # threshold reception would need -ln u >= theta/p_t > 745, and
-                # -ln u <= 54 ln 2), so a silent slot draws no channel
-                if pi[t] > 0.0:
-                    # x * z differs from "x where z, else 0" only at a state
-                    # that is not finite, and such a state makes the mean raise
-                    xz = x * _receptions(_uniform_column(keys, 1 + t), p[t], pi[t],
-                                         ch, sim.channel_model)
-                    inp = rk2 * xz * xz
-                    input_sum[t] += inp.sum()
-                    state += inp
-                    xz *= bk
-                    x_next += xz
-                state += p[t]
-                cost += state
-                if sigma_d > 0:
-                    d = ndtri(_uniform_column(keys, 1 + T + t))
-                    d *= sigma_d
-                    x_next += d
-                x = x_next
-
-            # merge the chunk into the running moments (parallel combination)
-            c_n = hi - lo
-            c_mean = float(cost.mean())
-            c_m2 = float(np.sum((cost - c_mean) ** 2))
-            delta = c_mean - mean
-            total = count + c_n
-            mean += delta * c_n / total
-            m2 += c_m2 + delta**2 * count * c_n / total
-            count = total
-            if return_samples:
-                all_samples.append(cost)
-
-    if count > 1:
-        std_err = math.sqrt(m2 / (count - 1)) / math.sqrt(count)
-        std_err_valid = True
-    else:
-        std_err = 0.0
-        std_err_valid = False
-    per_slot = np.column_stack([state_sum / count, input_sum / count, p])
-    if not (math.isfinite(mean) and math.isfinite(std_err)
-            and np.isfinite(per_slot).all()):
-        raise ValueError(
-            f"Monte Carlo cost statistics are not finite (T = {T}): "
-            f"a state or a cost overflowed")
-    return SimReport(
-        mean_cost=mean,
-        std_err=std_err,
-        per_slot=per_slot,
-        n_samples=count,
-        std_err_valid=std_err_valid,
-        samples=np.concatenate(all_samples) if return_samples else None,
-    )
+    return monte_carlo_costs(sys, ch, [policy], sim, return_samples)[0]
 
 
 def baseline_policy(kind: str, ch: ChannelParams, T: int) -> np.ndarray:

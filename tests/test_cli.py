@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +10,16 @@ from lqpower.cli import main
 from lqpower.experiments import (
     ConfigError,
     PRESETS,
+    _fmt,
     emit_plot_script,
     load_config,
     run_compare,
     run_sweep,
 )
+from lqpower.simulator import baseline_policy
+from oracles import reference_monte_carlo
+
+DATA = Path(__file__).parent / "data"
 
 
 def _read_csv(path):
@@ -214,6 +219,28 @@ class TestCompareCommand:
         assert abs(cp - 1.0) <= 4 * sp
         rk2pi = cfg.sys.r * cfg.sys.k**2 * cfg.ch.pi_max
         assert abs(cf - (1.0 * (1 + rk2pi) + cfg.ch.p_max)) <= 4 * sf
+
+    def test_matches_committed_bytes(self, tmp_path):
+        # comparison_fig4.csv was written by the one-policy-per-call
+        # rollout; 70,001 replications cross two chunk boundaries
+        rc = main(["compare", "--preset", "fig4", "--horizons", "2:8", "--seed", "5",
+                   "--samples", "70001", "--out", str(tmp_path)])
+        assert rc == 0
+        assert ((tmp_path / "comparison.csv").read_bytes()
+                == (DATA / "comparison_fig4.csv").read_bytes())
+
+    def test_rows_match_separate_reference_runs(self, tmp_path):
+        cfg = load_config(preset="fig4", seed=21, samples=3001)
+        res = run_compare(cfg, [1, 4, 9], tmp_path)
+        _, rows = _read_csv(tmp_path / "comparison.csv")
+        for row, (T, trace, _) in zip(rows, res["results"]):
+            sys_T = replace(cfg.sys, T=T)
+            want = [str(T)]
+            for pol in (trace.policy, baseline_policy("full_power", cfg.ch, T),
+                        baseline_policy("open_loop", cfg.ch, T)):
+                rep = reference_monte_carlo(sys_T, cfg.ch, pol, cfg.sim)
+                want += [_fmt(rep.mean_cost), _fmt(rep.std_err)]
+            assert row == want
 
     def test_cli_horizon_spec(self, tmp_path):
         rc = main(["compare", "--preset", "fig4", "--horizons", "2,4:6",

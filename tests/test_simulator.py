@@ -12,6 +12,7 @@ from lqpower import (
     baseline_policy,
     expected_cost,
     monte_carlo_cost,
+    monte_carlo_costs,
     policy_to_success,
 )
 from lqpower.simulator import _stream_keys, _uniform_column
@@ -197,10 +198,11 @@ class TestMonteCarlo:
         monte_carlo_cost(s, CH, pol, SimConfig(n_samples=10, initial_state="fixed"))
         assert read == [1, 3]
         read.clear()
-        # draw 0 is x1, draws 1..5 the channels, 6..10 the perturbations
+        # draw 0 is x1, draws 1..5 the channels, 6..10 the perturbations; the
+        # last perturbation only moves the state past the horizon
         monte_carlo_cost(replace(s, sigma_d2=0.1), CH, pol,
                          SimConfig(n_samples=10, channel_model="gain_threshold"))
-        assert read == [0, 1, 6, 7, 3, 8, 9, 10]
+        assert read == [0, 1, 6, 7, 3, 8, 9]
 
     def test_overflowing_rollout_raises(self):
         # x_t = 3^(t-1) from x1 = 1: the state cost overflows at slot 324
@@ -308,6 +310,97 @@ class TestMonteCarlo:
             freq = np.mean(gains * p / CH.sigma2 >= CH.gamma)
             pi = math.exp(-CH.theta / p)
             assert abs(freq - pi) <= 4 * math.sqrt(pi * (1 - pi) / n)
+
+
+# (channel model, initial state, perturbed, replications); 70,001
+# replications cross two chunk boundaries
+_SHARED_CASES = [
+    *[(model, init, noisy, n)
+      for model in ("bernoulli", "gain_threshold")
+      for init in ("gaussian", "fixed")
+      for noisy in (False, True)
+      for n in (1, 3001)],
+    *[(model, "gaussian", noisy, 70_001)
+      for model in ("bernoulli", "gain_threshold")
+      for noisy in (False, True)],
+]
+
+
+class TestSharedRollout:
+    @pytest.mark.parametrize("case", range(len(_SHARED_CASES)),
+                             ids=["-".join(map(str, c)) for c in _SHARED_CASES])
+    def test_each_report_is_the_policy_alone(self, case):
+        # sharing the draws keeps every bit of each policy's own rollout
+        model, initial_state, noisy, n = _SHARED_CASES[case]
+        rng = np.random.default_rng(2000 + case)
+        s = random_system(rng, t_min=2, t_max=12)
+        s = replace(s, sigma_d2=rng.uniform(0.01, 0.5) if noisy else 0.0)
+        ch = random_channel(rng)
+        partly = rng.uniform(0.0, ch.p_max, s.T)
+        partly[rng.random(s.T) < 0.4] = 0.0
+        partly[0] = 0.0   # a slot that some policies leave silent
+        partly[-1] = ch.p_max
+        policies = [partly, np.zeros(s.T), np.full(s.T, ch.p_max),
+                    np.where(partly > 0, 0.0, ch.p_max / 2)]
+        sim = SimConfig(n_samples=n, seed=int(rng.integers(2**63)),
+                        channel_model=model, initial_state=initial_state,
+                        x1=rng.uniform(-2.0, 2.0))
+        reports = monte_carlo_costs(s, ch, policies, sim, return_samples=True)
+        assert len(reports) == len(policies)
+        for got, pol in zip(reports, policies):
+            want = reference_monte_carlo(s, ch, pol, sim, return_samples=True)
+            assert got.mean_cost == want.mean_cost
+            assert got.std_err == want.std_err
+            assert got.std_err_valid == want.std_err_valid
+            assert np.array_equal(got.per_slot, want.per_slot)
+            assert np.array_equal(got.samples, want.samples)
+
+    def test_each_column_made_once(self, monkeypatch):
+        made = []   # (first key of the chunk, j) of every column made
+        make = simmod._uniform_column
+
+        def spy(keys, j):
+            made.append((int(keys[0]), j))
+            return make(keys, j)
+
+        monkeypatch.setattr(simmod, "_uniform_column", spy)
+        monkeypatch.setattr(simmod, "_CHUNK", 4)
+        s = _sys(sigma_d2=0.1, T=5)
+        policies = [np.array([2.0, 0.0, 1.0, 0.0, 0.0]),
+                    np.array([0.0, 0.0, 0.0, 3.0, 0.0]),
+                    np.zeros(5)]
+        sim = SimConfig(n_samples=10, channel_model="gain_threshold")
+        alone = set()
+        for pol in policies:
+            monte_carlo_cost(s, CH, pol, sim)
+            alone |= set(made)
+            made.clear()
+        monte_carlo_costs(s, CH, policies, sim)
+        # three chunks of 4, 4 and 2 replications
+        assert len({key for key, _ in made}) == 3
+        assert len(made) == len(set(made))
+        assert set(made) == alone
+        assert sorted({j for _, j in made}) == [0, 1, 3, 4, 6, 7, 8, 9]
+
+    def test_overflow_names_the_policy(self):
+        # a reception multiplies the state by a + bk = -8.9: full power
+        # overflows by T = 400, while open loop's 1.1^399 stays finite
+        s = _sys(k=10.0, T=400)
+        sim = SimConfig(n_samples=4, initial_state="fixed")
+        good, bad = np.zeros(400), np.full(400, CH.p_max)
+        monte_carlo_costs(s, CH, [good, good], sim)
+        with pytest.raises(ValueError, match=r"\(T = 400, policy 1\)"):
+            monte_carlo_costs(s, CH, [good, bad, good], sim)
+        with pytest.raises(ValueError, match=r"\(T = 400, policy 0\)"):
+            monte_carlo_costs(s, CH, [bad, good], sim)
+
+    def test_policy_length_names_the_policy(self):
+        s = _sys(T=3)
+        with pytest.raises(ValueError, match="policy 1 has length 2"):
+            monte_carlo_costs(s, CH, [np.zeros(3), np.zeros(2)], SimConfig())
+
+    def test_no_policies(self):
+        assert monte_carlo_costs(_sys(), CH, [], SimConfig()) == []
 
 
 class TestBaselines:
