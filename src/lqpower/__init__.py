@@ -11,9 +11,7 @@ from .model import (
     SystemParams,
     backward_tables,
     compute_tables,
-    cost_slope,
     expected_cost,
-    expected_cost_enumerated,
     forward_second_moments,
     policy_to_success,
     power_to_success,
@@ -22,7 +20,6 @@ from .model import (
 from .optimizer import (
     OptimizationTrace,
     OptimizerConfig,
-    coordinate_sweep,
     optimize_policy,
     slot_candidates,
     stationary_success,
@@ -45,16 +42,13 @@ __all__ = [
     "success_to_power",
     "policy_to_success",
     "expected_cost",
-    "expected_cost_enumerated",
     "backward_tables",
     "forward_second_moments",
     "compute_tables",
-    "cost_slope",
     "OptimizerConfig",
     "OptimizationTrace",
     "stationary_success",
     "slot_candidates",
-    "coordinate_sweep",
     "optimize_policy",
     "SimConfig",
     "SimReport",

@@ -7,9 +7,8 @@ theta = gamma*sigma2/gbar collapses the Rayleigh-fading channel constants.
 On success the controller applies u[t] = k*x[t]; on a drop u[t] = 0.
 
 This module holds the parameter containers, the power <-> success-probability
-mapping, the exact expected combined cost (control + transmission energy),
-the backward/forward recursion tables behind the per-slot optimizer, the
-analytic cost slope, and an exhaustive-enumeration oracle for small horizons.
+mapping, the exact expected combined cost (control + transmission energy)
+and the backward/forward recursion tables behind the per-slot optimizer.
 
 The two recursions are O(T) loops over Python floats: the backward pass
 gives the tail factors, the forward pass the state second moments, and the
@@ -39,13 +38,7 @@ __all__ = [
     "backward_tables",
     "forward_second_moments",
     "compute_tables",
-    "cost_slope",
-    "expected_cost_enumerated",
 ]
-
-# Largest horizon accepted by the enumeration oracle (2**T erasure patterns).
-MAX_ENUMERATION_HORIZON = 14
-
 
 # ----------------------------------------------------------------------------
 # Parameter containers
@@ -205,6 +198,15 @@ def validate_success_vector(pi: np.ndarray, ch: ChannelParams) -> None:
             f"(got range [{pi.min()}, {pi.max()}])")
 
 
+def _horizon_success(sys: SystemParams, ch: ChannelParams, pi) -> np.ndarray:
+    """pi as a float array, checked as a success vector of length T."""
+    pi = np.asarray(pi, dtype=float)
+    validate_success_vector(pi, ch)
+    if len(pi) != sys.T:
+        raise ValueError(f"success vector has length {len(pi)}, expected T = {sys.T}")
+    return pi
+
+
 def _transmission_energy(pi: np.ndarray, ch: ChannelParams) -> float:
     """Total transmit energy of the powers implied by pi (0 where pi = 0)."""
     pi = np.asarray(pi, dtype=float)
@@ -242,10 +244,7 @@ def expected_cost(
     ex2_1 : initial second moment E[x_1^2]; defaults to sys.sigma_x2, or pass
         x1**2 for a fixed known initial state
     """
-    pi = np.asarray(pi, dtype=float)
-    validate_success_vector(pi, ch)
-    if len(pi) != sys.T:
-        raise ValueError(f"success vector has length {len(pi)}, expected T = {sys.T}")
+    pi = _horizon_success(sys, ch, pi)
     ex2 = forward_second_moments(sys, pi, sys.sigma_x2 if ex2_1 is None else ex2_1)
     return cost_from_moments(sys, ch, pi, ex2)
 
@@ -322,10 +321,7 @@ def backward_tables(
     is 0 almost surely the tail factors can overflow and the cost stay
     finite.
     """
-    pi = np.asarray(pi, dtype=float)
-    validate_success_vector(pi, ch)
-    if len(pi) != sys.T:
-        raise ValueError(f"success vector has length {len(pi)}, expected T = {sys.T}")
+    pi = _horizon_success(sys, ch, pi)
     a2, c, q = float(sys.a**2), float(sys.closed_loop_coeff), float(sys.q)
     rk2 = float(sys.r * sys.k**2)
     f = s = 0.0
@@ -359,75 +355,3 @@ def compute_tables(
     tables = backward_tables(sys, ch, pi, ex2_1)
     tables.ex2 = forward_second_moments(sys, pi, ex2_1)
     return tables
-
-
-def cost_slope(
-    sys: SystemParams,
-    ch: ChannelParams,
-    tables: RecursionTables,
-    t: int,
-    pi_t: float,
-) -> float:
-    """Partial derivative of the expected cost in slot t's success probability.
-
-    Returns ex2[t] * (r k^2 + (2abk + b^2 k^2) fbar[t+1]) + theta/(pi_t ln^2 pi_t)
-    for 0-based slot t, using the sentinel fbar[T] = 0 at the terminal slot.
-    The tables must have been computed for the success vector being perturbed.
-    Undefined at pi_t in {0, 1} (logarithm singularity).
-    """
-    if tables.ex2 is None:
-        raise ValueError("tables.ex2 missing: run the forward pass first")
-    T = len(tables.ex2)
-    if not 0 <= t < T:
-        raise ValueError(f"slot index must lie in [0, {T - 1}] (got {t})")
-    if not 0.0 < pi_t < 1.0:
-        raise ValueError(
-            f"slope undefined at pi_t = {pi_t}: needs 0 < pi_t < 1")
-    tail = sys.r * sys.k**2 + sys.closed_loop_coeff * tables.fbar[t + 1]
-    log_pi = math.log(pi_t)
-    return tables.ex2[t] * tail + ch.theta / (pi_t * log_pi**2)
-
-
-# ----------------------------------------------------------------------------
-# Enumeration oracle
-# ----------------------------------------------------------------------------
-
-def expected_cost_enumerated(
-    sys: SystemParams,
-    ch: ChannelParams,
-    pi: np.ndarray,
-    ex2_1: float | None = None,
-) -> float:
-    """Expected cost by exhaustive enumeration of all 2^T erasure patterns.
-
-    Independent oracle for :func:`expected_cost`: every z in {0,1}^T is
-    weighted by prod_t pi_t^z_t (1-pi_t)^(1-z_t), and the conditional
-    expectation over the Gaussian initial state and perturbations is taken
-    exactly by propagating second moments through the closed-loop gains
-    (a + b k z_t).  Refuses horizons above MAX_ENUMERATION_HORIZON.
-    """
-    pi = np.asarray(pi, dtype=float)
-    validate_success_vector(pi, ch)
-    if len(pi) != sys.T:
-        raise ValueError(f"success vector has length {len(pi)}, expected T = {sys.T}")
-    T = sys.T
-    if T > MAX_ENUMERATION_HORIZON:
-        raise ValueError(
-            f"enumeration limited to T <= {MAX_ENUMERATION_HORIZON} (got T = {T})")
-    m0 = sys.sigma_x2 if ex2_1 is None else ex2_1
-    if m0 < 0:
-        raise ValueError(f"ex2_1 must be >= 0 (got {m0})")
-
-    # z[s, t] = bit t of pattern s
-    patterns = np.arange(2**T, dtype=np.uint32)
-    z = (patterns[:, None] >> np.arange(T, dtype=np.uint32)[None, :]) & 1
-
-    weights = np.prod(np.where(z == 1, pi[None, :], 1.0 - pi[None, :]), axis=1)
-    rk2 = sys.r * sys.k**2
-    moment = np.full(2**T, float(m0))
-    cond_cost = np.zeros(2**T)
-    for t in range(T):
-        zt = z[:, t]
-        cond_cost += (sys.q + rk2 * zt) * moment
-        moment = (sys.a + sys.b * sys.k * zt) ** 2 * moment + sys.sigma_d2
-    return float(np.dot(weights, cond_cost)) + _transmission_energy(pi, ch)

@@ -7,10 +7,13 @@ where A_t = ex2[t] (r k^2 + c fbar[t+1]) comes from the recursion tables and
 P(pi) = -theta/ln pi is the transmit power.  The slope A_t + theta/(pi ln^2 pi)
 is smallest at pi = e^-2, which makes the per-slot minimizer a member of a
 two-point candidate set {0, min(pi0, pi_max)} where pi0, the stationary point
-in (e^-2, 1), has a closed form through the Lambert W function.  Each outer
-iteration scores the candidates of every slot at once by that exact cost
-change against the incumbent's tables and adopts the best single-coordinate
-replacement, writing that one slot's power: the cost descends monotonically.
+in (e^-2, 1), has a closed form through the Lambert W function; a slot whose
+slope is nonnegative even at its minimum has the minimizer 0 (silence).
+Each outer iteration scores the candidates of every slot at once by that
+exact cost change against the incumbent's tables and adopts the best
+single-coordinate replacement, writing that one slot's power: the cost
+descends monotonically.  This is the only descent rule; optimize_policy is
+its one entry point.
 The incumbent's tables and exact cost carry over to the next iteration, so
 one iteration is one backward and one forward pass (for the adopted policy)
 plus O(T) array work.
@@ -42,7 +45,6 @@ __all__ = [
     "OptimizationTrace",
     "stationary_success",
     "slot_candidates",
-    "coordinate_sweep",
     "optimize_policy",
 ]
 
@@ -130,11 +132,12 @@ def slot_candidates(
     The slope in pi_t is A_t + theta/(pi_t ln^2 pi_t) with the constant
     A_t = ex2[t] (r k^2 + (2abk + b^2 k^2) fbar[t+1]).  Its minimum over the
     feasible range sits at pi' = min(e^-2, pi_max); when the slope there is
-    negative the slot minimizer is 0 or min(pi0, pi_max), otherwise the slot
-    keeps its current value.  Returns (cands, deltas), both of shape (T, 2):
-    row t holds (0, min(pi0, pi_max)), or (pi_t, pi_t) for a kept slot, and
-    the exact cost change (v - pi_t) A_t + P(v) - P(pi_t) of moving slot t
-    alone to each, against the tables of pi.
+    negative the slot minimizer is 0 or min(pi0, pi_max), otherwise the cost
+    never decreases in pi_t and the minimizer is 0.  Returns (cands, deltas),
+    both of shape (T, 2): row t holds (0, min(pi0, pi_max)), or (0, 0) for a
+    slot whose slope is nonnegative over the whole range, and the exact cost
+    change (v - pi_t) A_t + P(v) - P(pi_t) of moving slot t alone to each,
+    against the tables of pi.
     """
     if tables.ex2 is None:
         raise ValueError("tables.ex2 missing: run the forward pass first")
@@ -146,8 +149,8 @@ def slot_candidates(
     pi_edge = min(_E_MINUS_2, ch.pi_max)
     descend = A + ch.theta / (pi_edge * math.log(pi_edge) ** 2) < 0.0
     pi0 = stationary_success(A, ch)
-    pair = np.stack([np.zeros_like(pi), np.where(np.isnan(pi0), ch.pi_max, pi0)], 1)
-    cands = np.where(descend[:, None], pair, pi[:, None])
+    v = np.where(descend, np.where(np.isnan(pi0), ch.pi_max, pi0), 0.0)
+    cands = np.stack([np.zeros_like(pi), v], 1)
     with np.errstate(divide="ignore"):  # -theta/ln(0) = 0: no power
         deltas = ((cands - pi[:, None]) * A[:, None]
                   - ch.theta / np.log(cands) + ch.theta / np.log(pi)[:, None])
@@ -206,32 +209,6 @@ def _step(
     return _incumbent(sys, ch, policy, pi, ex2_1)
 
 
-def coordinate_sweep(
-    sys: SystemParams,
-    ch: ChannelParams,
-    cfg: OptimizerConfig,
-    policy: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """One outer iteration: best single-coordinate replacement of a policy.
-
-    Computes the recursion tables under the incumbent, scores every slot's
-    candidates by their exact cost change against the frozen tables, and
-    adopts the single-coordinate modification with the lowest cost.  Ties
-    among modifications go to the smallest slot index; the incumbent is kept
-    unless the winner improves it by at least cfg.eps_cost relative, which
-    makes a converged policy an exact fixed point of this function.  Only
-    the adopted slot's power changes, and the returned cost is the exact
-    cost of the returned policy.
-    """
-    policy = np.array(policy, dtype=float)
-    ex2_1 = sys.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1
-    inc = _incumbent(sys, ch, policy, policy_to_success(policy, ch), ex2_1)
-    nxt = _step(sys, ch, cfg, ex2_1, inc)
-    if nxt is not None:
-        inc = nxt
-    return inc.policy, inc.cost
-
-
 def optimize_policy(
     sys: SystemParams, ch: ChannelParams, cfg: OptimizerConfig
 ) -> OptimizationTrace:
@@ -246,8 +223,9 @@ def optimize_policy(
 
     The incumbent's policy, success vector, tables and cost carry over from
     one iteration to the next, so an iteration runs one backward and one
-    forward pass, for the policy it adopts.  The result equals a loop of
-    :func:`coordinate_sweep` bit for bit.
+    forward pass, for the policy it adopts.  A converged policy is an exact
+    fixed point: no slot's candidate improves its cost by cfg.eps_cost
+    relative, whichever start the run took.
     """
     k_max = max(200, 10 * sys.T) if cfg.k_max is None else cfg.k_max
     if cfg.init == "zero":

@@ -2,9 +2,13 @@
 
 The direct sum/product transcriptions here deliberately use naive 1-based
 triple loops so they share no code path with the library's recursions.  The
-Monte Carlo references generate the whole block of 2T + 1 draws of every
-replication up front and roll it out slot by slot, one replication at a
-time or in chunks, as the library once did.
+analytic cost slope and the exhaustive 2^T enumeration of erasure patterns
+check the library's cost and tables from other sides.  `coordinate_sweep`
+runs one iteration of the library's descent from any policy, so tests can
+step it and check its fixed points.  The Monte Carlo references generate the
+whole block of 2T + 1 draws of every replication up front and roll it out
+slot by slot, one replication at a time or in chunks, as the library once
+did.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import lqpower.simulator
 from lqpower import (
     ChannelParams,
     OptimizerConfig,
+    RecursionTables,
     SimConfig,
     SimReport,
     SystemParams,
@@ -26,8 +31,11 @@ from lqpower import (
     policy_to_success,
     success_to_power,
 )
-from lqpower.model import validate_policy
-from lqpower.optimizer import TIE_TOL
+from lqpower.model import _transmission_energy, validate_policy, validate_success_vector
+from lqpower.optimizer import TIE_TOL, _incumbent, _step
+
+# Largest horizon accepted by the enumeration oracle (2**T erasure patterns).
+MAX_ENUMERATION_HORIZON = 14
 
 
 def _pad(pi):
@@ -165,7 +173,10 @@ def interior_success(rng, ch, T) -> np.ndarray:
 
 
 def reference_candidates(sys, ch, tables, t, pi_t) -> tuple[float, ...]:
-    """Two-point candidate set of slot t, its stationary point by bisection."""
+    """Candidate set of slot t, its stationary point by bisection.
+
+    Silence alone where the slope is nonnegative over the whole range.
+    """
     A = tables.ex2[t] * (
         sys.r * sys.k**2 + sys.closed_loop_coeff * tables.fbar[t + 1])
 
@@ -174,7 +185,7 @@ def reference_candidates(sys, ch, tables, t, pi_t) -> tuple[float, ...]:
 
     lo, hi = math.exp(-2.0), ch.pi_max
     if slope(min(lo, hi)) >= 0.0:
-        return (pi_t,)
+        return (0.0,)
     if hi <= lo or slope(hi) <= 0.0:
         return (0.0, hi)
     for _ in range(200):
@@ -186,6 +197,30 @@ def reference_candidates(sys, ch, tables, t, pi_t) -> tuple[float, ...]:
         if hi - lo <= 1e-12:
             break
     return (0.0, 0.5 * (lo + hi))
+
+
+def single_slot_costs(sys: SystemParams, ch: ChannelParams, pi, ex2_1, grid):
+    """Exact cost of every single-slot move of pi onto a grid of values.
+
+    Entry (t, i) is the expected cost of pi with slot t alone set to
+    grid[i].  The forward second-moment recursion runs over all T x len(grid)
+    trial vectors at once, one numpy row each.
+    """
+    pi = np.asarray(pi, dtype=float)
+    grid = np.asarray(grid, dtype=float)
+    T = len(pi)
+    trials = np.repeat(pi[None, None, :], T, axis=0).repeat(len(grid), axis=1)
+    trials[np.arange(T), :, np.arange(T)] = grid
+    rk2, c, a2 = sys.r * sys.k**2, sys.closed_loop_coeff, sys.a**2
+    moment = np.full(trials.shape[:2], float(ex2_1))
+    cost = np.zeros(trials.shape[:2])
+    for t in range(T):
+        p = trials[:, :, t]
+        cost += (sys.q + rk2 * p) * moment
+        moment = (a2 + c * p) * moment + sys.sigma_d2
+    with np.errstate(divide="ignore"):  # -theta/ln(0) = 0: no power
+        energy = -ch.theta / np.log(trials)
+    return cost + energy.sum(axis=2)
 
 
 def reference_sweep(
@@ -222,6 +257,100 @@ def reference_sweep(
         new_policy[best_t] = success_to_power(best_v, ch)
         return new_policy, best_cost
     return np.array(policy, dtype=float), incumbent_cost
+
+
+def coordinate_sweep(
+    sys: SystemParams,
+    ch: ChannelParams,
+    cfg: OptimizerConfig,
+    policy: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """One iteration of the library's descent, started from any policy.
+
+    Builds the incumbent's tables and cost, then takes one step of
+    optimize_policy's loop: the best single-coordinate replacement, or the
+    incumbent itself at a fixed point.  Returns the policy and its exact
+    cost; a converged policy comes back unchanged.
+    """
+    policy = np.array(policy, dtype=float)
+    ex2_1 = sys.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1
+    inc = _incumbent(sys, ch, policy, policy_to_success(policy, ch), ex2_1)
+    nxt = _step(sys, ch, cfg, ex2_1, inc)
+    if nxt is not None:
+        inc = nxt
+    return inc.policy, inc.cost
+
+
+def cost_slope(
+    sys: SystemParams,
+    ch: ChannelParams,
+    tables: RecursionTables,
+    t: int,
+    pi_t: float,
+) -> float:
+    """Partial derivative of the expected cost in slot t's success probability.
+
+    Returns ex2[t] * (r k^2 + (2abk + b^2 k^2) fbar[t+1]) + theta/(pi_t ln^2 pi_t)
+    for 0-based slot t, using the sentinel fbar[T] = 0 at the terminal slot.
+    The tables must have been computed for the success vector being perturbed.
+    Undefined at pi_t in {0, 1} (logarithm singularity).
+    """
+    if tables.ex2 is None:
+        raise ValueError("tables.ex2 missing: run the forward pass first")
+    T = len(tables.ex2)
+    if not 0 <= t < T:
+        raise ValueError(f"slot index must lie in [0, {T - 1}] (got {t})")
+    if not 0.0 < pi_t < 1.0:
+        raise ValueError(
+            f"slope undefined at pi_t = {pi_t}: needs 0 < pi_t < 1")
+    tail = sys.r * sys.k**2 + sys.closed_loop_coeff * tables.fbar[t + 1]
+    log_pi = math.log(pi_t)
+    return tables.ex2[t] * tail + ch.theta / (pi_t * log_pi**2)
+
+
+# ----------------------------------------------------------------------------
+# Enumeration oracle
+# ----------------------------------------------------------------------------
+
+def expected_cost_enumerated(
+    sys: SystemParams,
+    ch: ChannelParams,
+    pi: np.ndarray,
+    ex2_1: float | None = None,
+) -> float:
+    """Expected cost by exhaustive enumeration of all 2^T erasure patterns.
+
+    Independent oracle for :func:`expected_cost`: every z in {0,1}^T is
+    weighted by prod_t pi_t^z_t (1-pi_t)^(1-z_t), and the conditional
+    expectation over the Gaussian initial state and perturbations is taken
+    exactly by propagating second moments through the closed-loop gains
+    (a + b k z_t).  Refuses horizons above MAX_ENUMERATION_HORIZON.
+    """
+    pi = np.asarray(pi, dtype=float)
+    validate_success_vector(pi, ch)
+    if len(pi) != sys.T:
+        raise ValueError(f"success vector has length {len(pi)}, expected T = {sys.T}")
+    T = sys.T
+    if T > MAX_ENUMERATION_HORIZON:
+        raise ValueError(
+            f"enumeration limited to T <= {MAX_ENUMERATION_HORIZON} (got T = {T})")
+    m0 = sys.sigma_x2 if ex2_1 is None else ex2_1
+    if m0 < 0:
+        raise ValueError(f"ex2_1 must be >= 0 (got {m0})")
+
+    # z[s, t] = bit t of pattern s
+    patterns = np.arange(2**T, dtype=np.uint32)
+    z = (patterns[:, None] >> np.arange(T, dtype=np.uint32)[None, :]) & 1
+
+    weights = np.prod(np.where(z == 1, pi[None, :], 1.0 - pi[None, :]), axis=1)
+    rk2 = sys.r * sys.k**2
+    moment = np.full(2**T, float(m0))
+    cond_cost = np.zeros(2**T)
+    for t in range(T):
+        zt = z[:, t]
+        cond_cost += (sys.q + rk2 * zt) * moment
+        moment = (sys.a + sys.b * sys.k * zt) ** 2 * moment + sys.sigma_d2
+    return float(np.dot(weights, cond_cost)) + _transmission_energy(pi, ch)
 
 
 # ----------------------------------------------------------------------------

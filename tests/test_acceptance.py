@@ -23,9 +23,7 @@ from lqpower import (
     backward_tables,
     baseline_policy,
     compute_tables,
-    cost_slope,
     expected_cost,
-    expected_cost_enumerated,
     monte_carlo_cost,
     optimize_policy,
     policy_to_success,
@@ -34,6 +32,8 @@ from lqpower import (
 )
 from lqpower.cli import main
 from oracles import (
+    cost_slope,
+    expected_cost_enumerated,
     fbar_direct,
     fd_slope,
     fs_direct,

@@ -10,9 +10,7 @@ from lqpower import (
     SystemParams,
     backward_tables,
     compute_tables,
-    cost_slope,
     expected_cost,
-    expected_cost_enumerated,
     forward_second_moments,
     optimize_policy,
     policy_to_success,
@@ -21,6 +19,8 @@ from lqpower import (
 )
 from oracles import (
     cost_direct,
+    cost_slope,
+    expected_cost_enumerated,
     fbar_direct,
     fd_slope,
     fs_direct,

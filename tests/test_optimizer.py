@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lqpower import (
     ChannelParams,
@@ -11,7 +12,6 @@ from lqpower import (
     SystemParams,
     baseline_policy,
     compute_tables,
-    coordinate_sweep,
     expected_cost,
     optimize_policy,
     policy_to_success,
@@ -25,7 +25,13 @@ from lqpower.experiments import (
     FIG4_HORIZONS,
     load_config,
 )
-from oracles import random_channel, random_system, reference_sweep
+from oracles import (
+    coordinate_sweep,
+    random_channel,
+    random_system,
+    reference_sweep,
+    single_slot_costs,
+)
 
 CH = ChannelParams(gamma=1.0, sigma2=1.0, gbar=1.0, p_max=3.0)
 
@@ -176,10 +182,12 @@ class TestCandidateAnalysisAgainstGridScan:
                 assert best <= costs.min() + 1e-11 * max(1.0, abs(costs.min()))
                 checked_pair += 1
             else:
-                assert cands.tolist() == [pi[t], pi[t]]
-                # keep branch fires only when the cost never decreases in pi_t
+                assert cands.tolist() == [0.0, 0.0]
+                # silence alone fires only when the cost never decreases in
+                # pi_t, so silence reaches the grid minimum
                 assert np.all(np.diff(costs)
                               >= -1e-11 * np.abs(costs).max())
+                assert costs[0] <= costs.min() + 1e-11 * max(1.0, abs(costs.min()))
                 checked_keep += 1
 
 
@@ -369,6 +377,70 @@ class TestOptimizePolicy:
         for bad in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match=r"opt\.ex2_1 .* finite"):
                 OptimizerConfig(ex2_1=bad)
+
+
+class TestFullStart:
+    """A full-power start descends as far as the zero start."""
+
+    def test_fig2_nominal_reaches_zero_start_cost(self):
+        cfg = load_config(preset="fig2")
+        zero = optimize_policy(cfg.sys, cfg.ch, cfg.opt)
+        full = optimize_policy(cfg.sys, cfg.ch, replace(cfg.opt, init="full"))
+        assert full.converged
+        assert abs(full.cost - zero.cost) <= 1e-6 * zero.cost
+
+    def test_zero_state_silences_every_slot(self):
+        # a state that is 0 almost surely makes every transmission pure cost
+        s = replace(NOMINAL, sigma_x2=0.0, T=5)
+        trace = optimize_policy(s, CH, OptimizerConfig(ex2_1=0.0, init="full"))
+        assert trace.converged
+        assert np.array_equal(trace.policy, np.zeros(5))
+        assert trace.cost == 0.0
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _scenarios(draw):
+    """A valid system, channel and optimizer config with T <= 10."""
+    sign = st.sampled_from([-1.0, 1.0])
+    s = SystemParams(
+        a=draw(_floats(0.6, 1.3)),
+        b=draw(sign) * draw(_floats(0.3, 1.5)),
+        k=draw(sign) * draw(_floats(0.3, 2.0)),
+        q=draw(_floats(0.2, 3.0)),
+        r=draw(_floats(0.05, 2.0)),
+        sigma_x2=draw(_floats(0.0, 2.0)),
+        sigma_d2=draw(st.just(0.0) | _floats(0.0, 0.5)),
+        T=draw(st.integers(1, 10)),
+    )
+    ch = ChannelParams(
+        gamma=draw(_floats(0.3, 3.0)),
+        sigma2=draw(_floats(0.3, 3.0)),
+        gbar=draw(_floats(0.3, 3.0)),
+        p_max=draw(_floats(0.5, 5.0)),
+    )
+    cfg = OptimizerConfig(init=draw(st.sampled_from(["zero", "full"])),
+                          ex2_1=draw(st.none() | _floats(0.0, 2.0)))
+    return s, ch, cfg
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_scenarios())
+def test_result_is_a_single_slot_minimum(scenario):
+    s, ch, cfg = scenario
+    trace = optimize_policy(s, ch, cfg)
+    assert trace.converged
+    policy, cost = coordinate_sweep(s, ch, cfg, trace.policy)
+    assert np.array_equal(policy, trace.policy) and cost == trace.cost
+    # no slot moved alone anywhere on a fine grid lowers the exact cost by
+    # the stop rule's quantum cfg.eps_cost, give or take 1e-11 of rounding
+    ex2_1 = s.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1
+    grid = np.linspace(0.0, ch.pi_max, 1001)
+    costs = single_slot_costs(s, ch, trace.success, ex2_1, grid)
+    assert costs.min() >= trace.cost - (cfg.eps_cost + 1e-11) * abs(trace.cost)
 
 
 def _descent(sweep, s, ch, cfg):
