@@ -393,3 +393,21 @@ class TestDeterminism:
         assert main([*args, "--out", str(a)]) == 0
         assert main([*args, "--out", str(b)]) == 0
         assert (a / "comparison.csv").read_bytes() == (b / "comparison.csv").read_bytes()
+
+
+class TestGoldenOutputs:
+    # tests/data/golden/<name>/ holds every file the command wrote before the
+    # workflows shared one scenario loop and one CSV writer
+    @pytest.mark.parametrize("name,argv", [
+        ("fig2", ["figure", "fig2"]),
+        ("fig3", ["figure", "fig3"]),
+        ("simulate_fig4", ["simulate", "--preset", "fig4", "--seed", "7",
+                           "--samples", "3001"]),
+    ])
+    def test_matches_committed_bytes(self, tmp_path, name, argv):
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        golden = DATA / "golden" / name
+        names = sorted(p.name for p in golden.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        for fname in names:
+            assert (tmp_path / fname).read_bytes() == (golden / fname).read_bytes(), fname
