@@ -2,8 +2,11 @@
 
 A single JSON document mirrors :class:`ExperimentConfig`; omitted fields take
 the defaults of the parameter dataclasses, and a named preset holds only the
-values of one reference figure that differ from those defaults.  All numeric
-CSV output is printed with 17 significant digits so files round-trip exactly.
+values of one reference figure that differ from those defaults.  Every
+workflow optimizes its scenarios through one loop, writes under
+cfg.output_dir, and prints its CSV files through one writer: integers as
+they are, any other number with 17 significant digits so files round-trip
+exactly.
 """
 
 from __future__ import annotations
@@ -161,12 +164,12 @@ def load_config(
             if section in layer:
                 values[section].update(_cast_section(section, layer[section]))
 
-    out_dir = output_dir or raw.get("output_dir")
+    directory = output_dir or raw.get("output_dir")
     try:
         return ExperimentConfig(
             **{section: cls(**values[section]) for section, cls in _SECTIONS.items()},
             preset=preset_name,
-            **({"output_dir": str(out_dir)} if out_dir else {}),
+            **({"output_dir": str(directory)} if directory else {}),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -176,114 +179,102 @@ def load_config(
 # CSV output
 # ----------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
+def _fmt(x) -> str:
+    """One CSV cell: a string or an integer as it is, any other number with
+    17 significant digits, so the file round-trips exactly."""
+    if isinstance(x, (str, int, np.integer)):
+        return str(x)
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, header: str, rows: list[str]) -> None:
+def _write_csv(path: Path, header: str, rows) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join([header, *rows]))
+        fh.write("\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]))
         fh.write("\n")
+    return path
 
 
-def write_policy_csv(path: Path, policy: np.ndarray, success: np.ndarray) -> None:
-    rows = [f"{t + 1},{_fmt(p)},{_fmt(pi)}"
-            for t, (p, pi) in enumerate(zip(policy, success))]
-    _write_csv(path, "t,p,pi", rows)
-
-
-def write_trace_csv(path: Path, cost_history: np.ndarray) -> None:
-    rows = [f"{i},{_fmt(c)}" for i, c in enumerate(cost_history)]
-    _write_csv(path, "iteration,cost", rows)
+def _write_policy(path: Path, trace) -> Path:
+    rows = [(t, p, pi) for t, (p, pi) in enumerate(zip(trace.policy, trace.success), 1)]
+    return _write_csv(path, "t,p,pi", rows)
 
 
 # ----------------------------------------------------------------------------
 # Workflows
 # ----------------------------------------------------------------------------
 
-def _out_dir(cfg: ExperimentConfig, out_dir: str | Path | None) -> Path:
-    return Path(out_dir if out_dir is not None else cfg.output_dir)
+def _optimize_each(cfg: ExperimentConfig, overrides):
+    """Optimize cfg's scenario once per override; yield (sys, ch, trace).
+
+    An override maps field names to the values that differ from cfg:
+    p_max is a channel field, every other name (T included) a plant field.
+    """
+    for override in overrides:
+        plant = {k: v for k, v in override.items() if k != "p_max"}
+        channel = {k: v for k, v in override.items() if k == "p_max"}
+        sys_, ch = replace(cfg.sys, **plant), replace(cfg.ch, **channel)
+        yield sys_, ch, optimize_policy(sys_, ch, cfg.opt)
 
 
-def _scenario(cfg: ExperimentConfig, override: dict) -> tuple[SystemParams, ChannelParams]:
-    """cfg's plant and channel with override applied (p_max is a channel field)."""
-    sys_, ch = cfg.sys, cfg.ch
-    for parameter, value in override.items():
-        if parameter == "p_max":
-            ch = replace(ch, p_max=value)
-        else:
-            sys_ = replace(sys_, **{parameter: value})
-    return sys_, ch
-
-
-def _optimize_each(cfg: ExperimentConfig, out: Path, header: str, scenarios) -> dict:
+def _optimize_indexed(cfg: ExperimentConfig, header: str, scenarios) -> dict:
     """Optimize each scenario; one policy_<label>.csv each, plus index.csv.
 
     scenarios holds (key, label, override) triples: the result's key (a
-    variant name, or a swept value written with 17 digits), the policy
-    file's label and the parameters that differ from cfg.  header names the
-    index columns; after the key's column they are picked from cost,
-    active_slots, last_active_slot, total_energy and file.
+    variant name or a swept value), the policy file's label and the
+    override.  header names the index columns; after the key's column they
+    are picked from cost, active_slots, last_active_slot, total_energy and
+    file.
     """
+    out = Path(cfg.output_dir)
     rows, files, results = [], [], []
-    for key, label, override in scenarios:
-        trace = optimize_policy(*_scenario(cfg, override), cfg.opt)
-        path = out / f"policy_{label}.csv"
-        write_policy_csv(path, trace.policy, trace.success)
+    traces = _optimize_each(cfg, [override for _, _, override in scenarios])
+    for (key, label, _), (_, _, trace) in zip(scenarios, traces):
+        path = _write_policy(out / f"policy_{label}.csv", trace)
         active = np.nonzero(trace.policy)[0]
         cells = {
-            "cost": _fmt(trace.cost),
-            "active_slots": str(len(active)),
-            "last_active_slot": str(int(active.max() + 1) if len(active) else 0),
-            "total_energy": _fmt(trace.policy.sum()),
+            "cost": trace.cost,
+            "active_slots": len(active),
+            "last_active_slot": int(active.max() + 1) if len(active) else 0,
+            "total_energy": trace.policy.sum(),
             "file": path.name,
         }
-        first = key if isinstance(key, str) else _fmt(key)
-        rows.append(",".join([first, *(cells[c] for c in header.split(",")[1:])]))
+        rows.append([key, *(cells[c] for c in header.split(",")[1:])])
         files.append(path)
         results.append((key, trace))
-    index_path = out / "index.csv"
-    _write_csv(index_path, header, rows)
-    return {"results": results, "files": [*files, index_path]}
+    files.append(_write_csv(out / "index.csv", header, rows))
+    return {"results": results, "files": files}
 
 
-def run_optimize(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
+def run_optimize(cfg: ExperimentConfig) -> dict:
     """Optimize the configured scenario; writes policy.csv and trace.csv."""
-    out = _out_dir(cfg, out_dir)
-    trace = optimize_policy(cfg.sys, cfg.ch, cfg.opt)
-    policy_path = out / "policy.csv"
-    trace_path = out / "trace.csv"
-    write_policy_csv(policy_path, trace.policy, trace.success)
-    write_trace_csv(trace_path, trace.cost_history)
-    return {"trace": trace, "files": [policy_path, trace_path]}
+    out = Path(cfg.output_dir)
+    [(_, _, trace)] = _optimize_each(cfg, [{}])
+    return {"trace": trace, "files": [
+        _write_policy(out / "policy.csv", trace),
+        _write_csv(out / "trace.csv", "iteration,cost", enumerate(trace.cost_history)),
+    ]}
 
 
-def run_simulate(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
+def run_simulate(cfg: ExperimentConfig) -> dict:
     """run_optimize, then Monte Carlo-evaluate the optimized policy.
 
     Adds a summary report (mean cost, standard error, sample count) and the
     per-slot cost breakdown.
     """
-    out = _out_dir(cfg, out_dir)
-    res = run_optimize(cfg, out)
+    out = Path(cfg.output_dir)
+    res = run_optimize(cfg)
     report = monte_carlo_cost(cfg.sys, cfg.ch, res["trace"].policy, cfg.sim)
-    report_path = out / "report.csv"
-    _write_csv(report_path, "mean_cost,std_err,n_samples",
-               [f"{_fmt(report.mean_cost)},{_fmt(report.std_err)},{report.n_samples}"])
-    slots_path = out / "per_slot.csv"
-    _write_csv(slots_path, "t,state_cost,input_cost,power",
-               [f"{t + 1},{_fmt(row[0])},{_fmt(row[1])},{_fmt(row[2])}"
-                for t, row in enumerate(report.per_slot)])
-    return {**res, "report": report,
-            "files": [*res["files"], report_path, slots_path]}
+    return {**res, "report": report, "files": [
+        *res["files"],
+        _write_csv(out / "report.csv", "mean_cost,std_err,n_samples",
+                   [(report.mean_cost, report.std_err, report.n_samples)]),
+        _write_csv(out / "per_slot.csv", "t,state_cost,input_cost,power",
+                   [(t, *row) for t, row in enumerate(report.per_slot, 1)]),
+    ]}
 
 
-def run_compare(
-    cfg: ExperimentConfig,
-    horizons,
-    out_dir: str | Path | None = None,
-) -> dict:
+def run_compare(cfg: ExperimentConfig, horizons) -> dict:
     """Optimize and Monte Carlo-evaluate proposed vs full-power vs open-loop.
 
     The three policies of a horizon share one Monte Carlo rollout and one
@@ -291,44 +282,32 @@ def run_compare(
     given the config and each policy's statistics are those it gets alone.
     Writes comparison.csv.
     """
-    out = _out_dir(cfg, out_dir)
     horizons = [int(T) for T in horizons]
     for T in horizons:
         if T < 1:
             raise ConfigError(f"horizon values must be >= 1 (got {T})")
     rows = []
     results = []
-    for T in horizons:
-        sys_T = replace(cfg.sys, T=T)
-        trace = optimize_policy(sys_T, cfg.ch, cfg.opt)
+    for T, (sys_T, ch, trace) in zip(
+            horizons, _optimize_each(cfg, [{"T": T} for T in horizons])):
         policies = {
             "proposed": trace.policy,
-            "full": baseline_policy("full_power", cfg.ch, T),
-            "open": baseline_policy("open_loop", cfg.ch, T),
+            "full": baseline_policy("full_power", ch, T),
+            "open": baseline_policy("open_loop", ch, T),
         }
         reports = dict(zip(policies, monte_carlo_costs(
-            sys_T, cfg.ch, list(policies.values()), cfg.sim)))
-        rows.append(",".join([
-            str(T),
-            _fmt(reports["proposed"].mean_cost), _fmt(reports["proposed"].std_err),
-            _fmt(reports["full"].mean_cost), _fmt(reports["full"].std_err),
-            _fmt(reports["open"].mean_cost), _fmt(reports["open"].std_err),
-        ]))
+            sys_T, ch, list(policies.values()), cfg.sim)))
+        rows.append([T, *(x for rep in reports.values()
+                          for x in (rep.mean_cost, rep.std_err))])
         results.append((T, trace, reports))
-    path = out / "comparison.csv"
-    _write_csv(
-        path,
+    path = _write_csv(
+        Path(cfg.output_dir) / "comparison.csv",
         "T,cost_proposed,se_proposed,cost_full,se_full,cost_open,se_open",
         rows)
     return {"results": results, "files": [path]}
 
 
-def run_sweep(
-    cfg: ExperimentConfig,
-    parameter: str,
-    values,
-    out_dir: str | Path | None = None,
-) -> dict:
+def run_sweep(cfg: ExperimentConfig, parameter: str, values) -> dict:
     """Optimize once per value of a swept parameter; one policy CSV each.
 
     index.csv records, per value, the converged cost, the number of active
@@ -350,26 +329,20 @@ def run_sweep(
                 f"sweep values {seen[label]!r} and {value!r} would both write "
                 f"policy_{label}.csv")
         seen[label] = value
-    return _optimize_each(cfg, _out_dir(cfg, out_dir),
-                          f"{parameter},cost,active_slots,total_energy,file",
-                          scenarios)
+    return _optimize_indexed(
+        cfg, f"{parameter},cost,active_slots,total_energy,file", scenarios)
 
 
-def run_figure(
-    cfg: ExperimentConfig,
-    which: str,
-    out_dir: str | Path | None = None,
-) -> dict:
+def run_figure(cfg: ExperimentConfig, which: str) -> dict:
     """Reproduce the data behind one of the three reference figures."""
-    out = _out_dir(cfg, out_dir)
     if which == "fig2":
-        return _optimize_each(
-            cfg, out, "variant,cost,active_slots,last_active_slot,total_energy,file",
+        return _optimize_indexed(
+            cfg, "variant,cost,active_slots,last_active_slot,total_energy,file",
             [(name, name, override) for name, override in FIG2_VARIANTS.items()])
     if which == "fig3":
-        return run_sweep(cfg, "sigma_d2", FIG3_SIGMA_D2_VALUES, out)
+        return run_sweep(cfg, "sigma_d2", FIG3_SIGMA_D2_VALUES)
     if which == "fig4":
-        return run_compare(cfg, FIG4_HORIZONS, out)
+        return run_compare(cfg, FIG4_HORIZONS)
     raise ConfigError(f"unknown figure {which!r} (valid: fig2, fig3, fig4)")
 
 

@@ -206,8 +206,8 @@ class TestSimulateCommand:
 
 class TestCompareCommand:
     def test_schema_and_single_horizon(self, tmp_path):
-        cfg = load_config(preset="fig4", seed=13, samples=4000)
-        run_compare(cfg, [1], tmp_path)
+        cfg = load_config(preset="fig4", seed=13, samples=4000, output_dir=str(tmp_path))
+        run_compare(cfg, [1])
         header, rows = _read_csv(tmp_path / "comparison.csv")
         assert header == ["T", "cost_proposed", "se_proposed", "cost_full",
                           "se_full", "cost_open", "se_open"]
@@ -230,8 +230,8 @@ class TestCompareCommand:
                 == (DATA / "comparison_fig4.csv").read_bytes())
 
     def test_rows_match_separate_reference_runs(self, tmp_path):
-        cfg = load_config(preset="fig4", seed=21, samples=3001)
-        res = run_compare(cfg, [1, 4, 9], tmp_path)
+        cfg = load_config(preset="fig4", seed=21, samples=3001, output_dir=str(tmp_path))
+        res = run_compare(cfg, [1, 4, 9])
         _, rows = _read_csv(tmp_path / "comparison.csv")
         for row, (T, trace, _) in zip(rows, res["results"]):
             sys_T = replace(cfg.sys, T=T)
@@ -267,8 +267,8 @@ class TestCompareCommand:
 
 class TestSweepCommand:
     def test_per_value_files_and_index(self, tmp_path):
-        cfg = load_config(preset="fig3")
-        res = run_sweep(cfg, "sigma_d2", [0.0, 0.05], tmp_path)
+        cfg = load_config(preset="fig3", output_dir=str(tmp_path))
+        res = run_sweep(cfg, "sigma_d2", [0.0, 0.05])
         header, rows = _read_csv(tmp_path / "index.csv")
         assert header == ["sigma_d2", "cost", "active_slots", "total_energy", "file"]
         assert len(rows) == 2
@@ -280,7 +280,7 @@ class TestSweepCommand:
             assert (tmp_path / fname).exists()
 
     def test_alias_p_max(self, tmp_path):
-        run_sweep(load_config(preset="fig2"), "P_max", [1.5], tmp_path)
+        run_sweep(load_config(preset="fig2", output_dir=str(tmp_path)), "P_max", [1.5])
         assert (tmp_path / "policy_p_max_1.5.csv").exists()
 
     def test_unknown_parameter_exits_nonzero(self, tmp_path, capsys):
