@@ -112,7 +112,7 @@ def stationary_success(
     array with NaN where there is no root.
     """
     A = np.asarray(A, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pi0 = np.exp(2.0 * lambertw(-0.5 * np.sqrt(-ch.theta / A)).real)
     roots = np.where((A + ch.theta * math.e**2 / 4.0 < 0.0) & (pi0 < ch.pi_max),
                      pi0, np.nan)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .model import ChannelParams, SystemParams, policy_to_success, validate_policy
+from .model import ChannelParams, SystemParams, policy_to_success
 
 __all__ = [
     "SimConfig",
@@ -164,16 +164,16 @@ def monte_carlo_costs(
     cost overflowed).
     """
     T = sys.T
-    ps = []
+    ps, pis = [], []
     for i, policy in enumerate(policies):
         p = np.asarray(policy, dtype=float)
-        validate_policy(p, ch)
+        pi = policy_to_success(p, ch)  # validates p
         if len(p) != T:
             raise ValueError(
                 f"policy {i} has length {len(p)}, expected T = {T}")
         ps.append(p)
+        pis.append(pi)
     m = len(ps)
-    pis = [policy_to_success(p, ch) for p in ps]
     # pi_t = 0 receives nothing on either channel model (a gain-threshold
     # reception would need -ln u >= theta/p_t > 745, and -ln u <= 54 ln 2),
     # so a slot in which no policy sends draws no channel

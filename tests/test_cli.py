@@ -171,6 +171,13 @@ class TestOptimizeCommand:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    def test_subnormal_initial_variance_prints_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sys": {"sigma_x2": 1e-310, "T": 3}}))
+        rc = main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
     def test_csv_round_trip_precision(self, tmp_path):
         from lqpower import optimize_policy
         cfg = load_config(preset="fig2")

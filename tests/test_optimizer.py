@@ -78,6 +78,23 @@ class TestStationarySuccess:
             else:
                 assert root == scalar
 
+    def test_subnormal_slope_constant_warns_nothing(self):
+        # -theta/A overflows for a subnormal A; neither sign has a root
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = stationary_success(np.array([-5e-324, 5e-324]), CH)
+        assert np.isnan(roots).all()
+
+    def test_subnormal_initial_variance_optimizes_without_warning(self, tmp_path):
+        # sigma_x2 = 1e-310 makes every slot's slope constant A_t subnormal
+        path = tmp_path / "cfg.json"
+        path.write_text('{"sys": {"sigma_x2": 1e-310, "T": 3}}')
+        cfg = load_config(path=path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = optimize_policy(cfg.sys, cfg.ch, cfg.opt)
+        assert trace.converged and not trace.policy.any()
+
     def test_residual_and_bracket_random(self):
         rng = np.random.default_rng(71)
         checked = 0
