@@ -164,12 +164,15 @@ def load_config(
             if section in layer:
                 values[section].update(_cast_section(section, layer[section]))
 
-    directory = output_dir or raw.get("output_dir")
+    directory = raw.get("output_dir", ExperimentConfig.output_dir)
+    if not (isinstance(directory, str) and directory):
+        raise ConfigError(
+            f"bad value for output_dir: {directory!r} (expected a non-empty string)")
     try:
         return ExperimentConfig(
             **{section: cls(**values[section]) for section, cls in _SECTIONS.items()},
             preset=preset_name,
-            **({"output_dir": str(directory)} if directory else {}),
+            output_dir=output_dir or directory,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -187,12 +190,16 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, header: str, rows) -> Path:
+def _write_lines(path: Path, lines) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join([header, *(",".join(map(_fmt, row)) for row in rows)]))
+        fh.write("\n".join(lines))
         fh.write("\n")
     return path
+
+
+def _write_csv(path: Path, header: str, rows) -> Path:
+    return _write_lines(path, [header, *(",".join(map(_fmt, row)) for row in rows)])
 
 
 def _write_policy(path: Path, trace) -> Path:
@@ -395,8 +402,4 @@ def emit_plot_script(
         ]
     else:
         raise ValueError(f"unknown plot kind {kind!r} (valid: policy, comparison)")
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-    return out_path
+    return _write_lines(out_path, lines)

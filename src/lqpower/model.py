@@ -12,9 +12,10 @@ and the backward/forward recursion tables behind the per-slot optimizer.
 
 The two recursions are O(T) loops over Python floats: the backward pass
 gives the tail factors, the forward pass the state second moments, and the
-cost follows from the second moments without a further pass.  A table or
-cost that is no longer finite (an unstable plant over a long horizon)
-raises ValueError naming T and the slot where it overflowed.
+cost follows from the second moments without a further pass.  Each pass is
+an in-place kernel over a start slot.  A table or cost that is no longer
+finite (an unstable plant over a long horizon) raises ValueError naming T
+and the slot where it overflowed.
 """
 
 from __future__ import annotations
@@ -207,13 +208,11 @@ def _horizon_success(sys: SystemParams, ch: ChannelParams, pi) -> np.ndarray:
     return pi
 
 
-def _transmission_energy(pi: np.ndarray, ch: ChannelParams) -> float:
-    """Total transmit energy of the powers implied by pi (0 where pi = 0)."""
-    pi = np.asarray(pi, dtype=float)
-    nz = pi > 0
-    if not np.any(nz):
-        return 0.0
-    return float(np.sum(-ch.theta / np.log(pi[nz])))
+def _power(pi: np.ndarray, ch: ChannelParams) -> np.ndarray:
+    """Transmit power -theta/ln pi_t implied by every pi_t, 0 where pi_t = 0."""
+    power = np.zeros_like(pi)
+    power[pi > 0] = -ch.theta / np.log(pi[pi > 0])
+    return power
 
 
 # ----------------------------------------------------------------------------
@@ -258,12 +257,71 @@ def cost_from_moments(
     the forward pass of pi (such as ``RecursionTables.ex2``); the result is
     bit-equal to ``expected_cost`` of the same pi.
     """
-    rk2 = sys.r * sys.k**2
-    control = float(np.sum((sys.q + rk2 * pi) * ex2))
-    cost = control + _transmission_energy(pi, ch)
+    return _total_cost(sys, pi, ex2, _power(pi, ch))
+
+
+def _total_cost(sys: SystemParams, pi: np.ndarray, ex2: np.ndarray, power) -> float:
+    """The cost of pi from its second moments ex2 and its powers, _power(pi)."""
+    control = float(((sys.q + sys.r * sys.k**2 * pi) * ex2).sum())
+    cost = control + float(power[pi > 0].sum())
     if not math.isfinite(cost):
         raise ValueError(f"expected cost is not finite (T = {sys.T})")
     return cost
+
+
+def _backward(sys: SystemParams, pi: list, fbar: list, fs: list, top: int) -> None:
+    """Rerun the backward recursion from slot top down to slot 0, in place."""
+    a2, c, q = float(sys.a**2), float(sys.closed_loop_coeff), float(sys.q)
+    rk2 = float(sys.r * sys.k**2)
+    f, s = fbar[top + 1], fs[top + 1]
+    for t in range(top, -1, -1):
+        p = pi[t]
+        f = (q + rk2 * p) + (a2 + c * p) * f
+        s = f + s
+        fbar[t], fs[t] = f, s
+
+
+def _forward(sys: SystemParams, pi: list, ex2: list, bottom: int) -> None:
+    """Rerun the forward recursion from slot bottom to slot T-1, in place."""
+    a2, c, sigma_d2 = float(sys.a**2), float(sys.closed_loop_coeff), float(sys.sigma_d2)
+    m = ex2[bottom]
+    for t in range(bottom + 1, len(ex2)):
+        m = (a2 + c * pi[t - 1]) * m + sigma_d2
+        ex2[t] = m
+
+
+def _first_moment(ex2_1: float, T: int) -> list[float]:
+    if ex2_1 < 0:
+        raise ValueError(f"ex2_1 must be >= 0 (got {ex2_1})")
+    return [float(ex2_1)] * T
+
+
+def _check(fs: list | None, ex2: list | None) -> None:
+    """Raise naming where a tail factor overflows at a nonzero moment (at any
+    moment, without ex2) or, failing that, where a moment overflows."""
+    # inf and nan carry through every later step: fs[0] and ex2[-1] tell
+    if fs is not None and not math.isfinite(fs[0]):
+        t = next(t for t in range(len(fs) - 1, -1, -1) if not math.isfinite(fs[t]))
+        if ex2 is None or any(ex2[:t + 1]):
+            raise ValueError(
+                f"tail factor is not finite at slot t = {t + 1} of T = {len(fs) - 1}")
+    if ex2 is not None and not math.isfinite(ex2[-1]):
+        t = next(t for t, v in enumerate(ex2) if not math.isfinite(v))
+        raise ValueError(
+            f"second moment E[x_t^2] is not finite at slot t = {t + 1} "
+            f"of T = {len(ex2)}")
+
+
+def _update_tables(sys: SystemParams, pi: list, fbar: list, fs: list, ex2: list,
+                   top: int, bottom: int) -> None:
+    """Rerun the backward pass from slot top and the forward one from bottom, and check.
+
+    top = bottom = t after a change of pi_t alone gives compute_tables's
+    lists bit for bit in T slot-steps (compute_tables: top = T-1, bottom = 0).
+    """
+    _backward(sys, pi, fbar, fs, top)
+    _forward(sys, pi, ex2, bottom)
+    _check(fs, ex2)
 
 
 def forward_second_moments(
@@ -276,36 +334,14 @@ def forward_second_moments(
     same two products and two sums in the same order as over numpy scalars.
     Raises ValueError naming the first slot whose moment is not finite.
     """
-    ex2 = _forward_pass(sys, pi, ex2_1)
-    # inf and nan carry through every later step: the last moment is
-    # finite only if all are
-    if not math.isfinite(ex2[-1]):
-        t = next(t for t, v in enumerate(ex2) if not math.isfinite(v))
-        raise ValueError(
-            f"second moment E[x_t^2] is not finite at slot t = {t + 1} "
-            f"of T = {len(ex2)}")
+    ex2 = _first_moment(ex2_1, len(pi))
+    _forward(sys, np.asarray(pi, dtype=float).tolist(), ex2, 0)
+    _check(None, ex2)
     return np.array(ex2)
 
 
-def _forward_pass(sys: SystemParams, pi: np.ndarray, ex2_1: float) -> list[float]:
-    """The loop of :func:`forward_second_moments`, without its check."""
-    if ex2_1 < 0:
-        raise ValueError(f"ex2_1 must be >= 0 (got {ex2_1})")
-    pi = np.asarray(pi, dtype=float)
-    a2, c, sigma_d2 = float(sys.a**2), float(sys.closed_loop_coeff), float(sys.sigma_d2)
-    m = float(ex2_1)
-    ex2 = [m]
-    for p in pi[:-1].tolist():
-        m = (a2 + c * p) * m + sigma_d2
-        ex2.append(m)
-    return ex2
-
-
 def backward_tables(
-    sys: SystemParams,
-    ch: ChannelParams,
-    pi: np.ndarray,
-    ex2_1: float | None = None,
+    sys: SystemParams, ch: ChannelParams, pi: np.ndarray
 ) -> RecursionTables:
     """Tail cost tables fbar and fs of a success vector, by backward pass.
 
@@ -316,31 +352,13 @@ def backward_tables(
     slot does not transmit (the optimal terminal choice).  The loop runs
     over Python floats in the same operation order as over numpy scalars.
     Raises ValueError naming the slot where a tail factor first stops being
-    finite.  Given the initial second moment ex2_1, it raises only where a
-    non-finite tail factor meets a nonzero second moment: over a state that
-    is 0 almost surely the tail factors can overflow and the cost stay
     finite.
     """
-    pi = _horizon_success(sys, ch, pi)
-    a2, c, q = float(sys.a**2), float(sys.closed_loop_coeff), float(sys.q)
-    rk2 = float(sys.r * sys.k**2)
-    f = s = 0.0
-    fbar, fs = [f], [s]   # built from slot T down to slot 0
-    for p in reversed(pi.tolist()):
-        f = (q + rk2 * p) + (a2 + c * p) * f
-        s = f + s
-        fbar.append(f)
-        fs.append(s)
-    # inf and nan carry through every later step: fs[0] is finite only if
-    # every fbar and fs is, and the non-finite ones are those of the
-    # 0-based slots 0 .. T - i
-    if not math.isfinite(s):
-        i = next(i for i, v in enumerate(fs) if not math.isfinite(v))
-        if ex2_1 is None or any(_forward_pass(sys, pi, ex2_1)[:sys.T - i + 1]):
-            raise ValueError(
-                f"tail factor is not finite at slot t = {sys.T - i + 1} "
-                f"of T = {sys.T}")
-    return RecursionTables(fbar=np.array(fbar[::-1]), fs=np.array(fs[::-1]))
+    pi = _horizon_success(sys, ch, pi).tolist()
+    fbar, fs = [0.0] * (sys.T + 1), [0.0] * (sys.T + 1)
+    _backward(sys, pi, fbar, fs, sys.T - 1)
+    _check(fs, None)
+    return RecursionTables(fbar=np.array(fbar), fs=np.array(fs))
 
 
 def compute_tables(
@@ -348,10 +366,13 @@ def compute_tables(
 ) -> RecursionTables:
     """Backward and forward passes together, as one table set.
 
-    Validates pi once (in the backward pass); raises ValueError when a
-    second moment is not finite, or a tail factor at a slot whose second
-    moment is nonzero.
+    Validates pi once; raises ValueError when a second moment is not
+    finite, or a tail factor at a slot whose second moment is nonzero: over
+    a state that is 0 almost surely the tail factors can overflow and the
+    cost stay finite.
     """
-    tables = backward_tables(sys, ch, pi, ex2_1)
-    tables.ex2 = forward_second_moments(sys, pi, ex2_1)
-    return tables
+    pi = _horizon_success(sys, ch, pi).tolist()
+    fbar, fs = [0.0] * (sys.T + 1), [0.0] * (sys.T + 1)
+    ex2 = _first_moment(ex2_1, sys.T)
+    _update_tables(sys, pi, fbar, fs, ex2, sys.T - 1, 0)
+    return RecursionTables(fbar=np.array(fbar), fs=np.array(fs), ex2=np.array(ex2))

@@ -14,8 +14,9 @@ exact cost change against the incumbent's tables and adopts the best
 single-coordinate replacement, writing that one slot's power: the cost
 descends monotonically.  This is the only descent rule; optimize_policy is
 its one entry point.
-The incumbent's tables and exact cost carry over to the next iteration, so
-one iteration is one backward and one forward pass (for the adopted policy)
+The incumbent's tables and exact cost carry over to the next iteration:
+adopting a move at slot t* reruns the backward pass from t* down to slot 0
+and the forward pass from t* to T-1, T slot-steps bit-equal to full tables,
 plus O(T) array work.
 """
 
@@ -27,17 +28,21 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import lambertw
+from scipy.special._ufuncs import _lambertw
 
 from .model import (
     ChannelParams,
     RecursionTables,
     SystemParams,
+    _power,
+    _total_cost,
+    _update_tables,
     compute_tables,
     cost_from_moments,
     expected_cost,
     policy_to_success,
     success_to_power,
+    validate_success_vector,
 )
 
 __all__ = [
@@ -112,13 +117,30 @@ def stationary_success(
     array with NaN where there is no root.
     """
     A = np.asarray(A, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        pi0 = np.exp(2.0 * lambertw(-0.5 * np.sqrt(-ch.theta / A)).real)
-    roots = np.where((A + ch.theta * math.e**2 / 4.0 < 0.0) & (pi0 < ch.pi_max),
-                     pi0, np.nan)
+    roots = np.full(A.shape, np.nan)
+    # Lambert W's ufunc, unwrapped, only where the slope at e^-2 is negative
+    neg = A + ch.theta * math.e**2 / 4.0 < 0.0
+    pi0 = np.exp(2.0 * _lambertw(-0.5 * np.sqrt(-ch.theta / A[neg]), 0, 1e-8).real)
+    roots[neg] = np.where(pi0 < ch.pi_max, pi0, np.nan)
     if roots.ndim:
         return roots
     return None if math.isnan(roots) else float(roots)
+
+
+def _candidates(sys, ch, fbar, ex2, pi, power) -> tuple[np.ndarray, ...]:
+    """Second candidate v of every slot, 0 where it does not descend, and the
+    exact cost changes d0, d1 of moving the slot alone to 0 and to v."""
+    tail = sys.r * sys.k**2 + sys.closed_loop_coeff * fbar[1:]
+    # a slot whose state is 0 almost surely moves no cost through it, even
+    # where its tail factor has overflowed
+    A = np.multiply(ex2, tail, out=np.zeros_like(tail), where=ex2 > 0.0)
+    pi_edge = min(_E_MINUS_2, ch.pi_max)
+    down = np.flatnonzero(A + ch.theta / (pi_edge * math.log(pi_edge) ** 2) < 0.0)
+    d0 = 0.0 - pi * A - power  # +0.0, not -0.0, at a silent slot
+    v, d1 = np.zeros_like(A), d0.copy()
+    v[down] = v_down = np.fmin(stationary_success(A[down], ch), ch.pi_max)
+    d1[down] = (v_down - pi[down]) * A[down] - ch.theta / np.log(v_down) - power[down]
+    return v, d0, d1
 
 
 def slot_candidates(
@@ -142,27 +164,19 @@ def slot_candidates(
     if tables.ex2 is None:
         raise ValueError("tables.ex2 missing: run the forward pass first")
     pi = np.asarray(pi, dtype=float)
-    tail = sys.r * sys.k**2 + sys.closed_loop_coeff * tables.fbar[1:]
-    # a slot whose state is 0 almost surely moves no cost through it, even
-    # where its tail factor has overflowed
-    A = np.multiply(tables.ex2, tail, out=np.zeros_like(tail), where=tables.ex2 > 0.0)
-    pi_edge = min(_E_MINUS_2, ch.pi_max)
-    descend = A + ch.theta / (pi_edge * math.log(pi_edge) ** 2) < 0.0
-    pi0 = stationary_success(A, ch)
-    v = np.where(descend, np.where(np.isnan(pi0), ch.pi_max, pi0), 0.0)
-    cands = np.stack([np.zeros_like(pi), v], 1)
-    with np.errstate(divide="ignore"):  # -theta/ln(0) = 0: no power
-        deltas = ((cands - pi[:, None]) * A[:, None]
-                  - ch.theta / np.log(cands) + ch.theta / np.log(pi)[:, None])
-    return cands, deltas
+    v, d0, d1 = _candidates(sys, ch, tables.fbar, tables.ex2, pi, _power(pi, ch))
+    return np.stack([np.zeros_like(pi), v], 1), np.stack([d0, d1], 1)
 
 
 class _Incumbent(NamedTuple):
-    """A policy with its success vector, recursion tables and exact cost."""
+    """A policy, its pi, _power(pi), recursion tables (as lists) and exact cost."""
 
     policy: np.ndarray
     pi: np.ndarray
-    tables: RecursionTables
+    power: np.ndarray
+    fbar: list[float]
+    fs: list[float]
+    ex2: list[float]
     cost: float
 
 
@@ -171,42 +185,45 @@ def _incumbent(
     ex2_1: float,
 ) -> _Incumbent:
     """Tables of pi from one backward and one forward pass, and its cost."""
-    tables = compute_tables(sys, ch, pi, ex2_1)
-    return _Incumbent(policy, pi, tables, cost_from_moments(sys, ch, pi, tables.ex2))
+    tab = compute_tables(sys, ch, pi, ex2_1)
+    return _Incumbent(policy, pi, _power(pi, ch), tab.fbar.tolist(), tab.fs.tolist(),
+                      tab.ex2.tolist(), cost_from_moments(sys, ch, pi, tab.ex2))
 
 
-def _step(
-    sys: SystemParams,
-    ch: ChannelParams,
-    cfg: OptimizerConfig,
-    ex2_1: float,
-    inc: _Incumbent,
-) -> _Incumbent | None:
+def _step(sys: SystemParams, ch: ChannelParams, cfg: OptimizerConfig,
+          inc: _Incumbent) -> _Incumbent | None:
     """The incumbent after the best single-coordinate replacement, if any.
 
     Scores every slot's candidates by their exact cost change against the
     incumbent's tables.  Ties among modifications go to the smallest slot
     index; None (a fixed point) unless the winner improves the cost by at
-    least cfg.eps_cost relative.  Only the winning slot's power is written.
+    least cfg.eps_cost relative.  Only the winning slot t is written and
+    checked, and the tables rerun from it, T slot-steps in all.
     """
-    cands, deltas = slot_candidates(sys, ch, inc.tables, inc.pi)
-    pick = np.argmin(deltas, axis=1)  # within a slot the first candidate wins ties
-    slot_cost = inc.cost + deltas[np.arange(sys.T), pick]
-
-    best_t, best_cost = 0, slot_cost[0]
+    v, d0, d1 = _candidates(sys, ch, np.fromiter(inc.fbar, float),
+                            np.fromiter(inc.ex2, float), inc.pi, inc.power)
+    slot_cost = inc.cost + np.minimum(d0, d1)  # the first candidate wins ties
+    # a later slot displaces the running winner only when strictly better
+    # beyond the tie tolerance, so only a strict prefix minimum can
+    later = np.flatnonzero(slot_cost[1:] < np.fmin.accumulate(slot_cost)[:-1]) + 1
+    t, best_cost = 0, float(slot_cost[0])
     bar = best_cost - TIE_TOL * abs(best_cost)
-    for t, cost in enumerate(slot_cost.tolist()):
-        # a later slot displaces the running winner only when strictly
-        # better beyond the tie tolerance
+    for s, cost in zip(later.tolist(), slot_cost[later].tolist()):
         if cost < bar:
-            best_t, best_cost = t, cost
+            t, best_cost = s, cost
             bar = cost - TIE_TOL * abs(cost)
     if not best_cost < inc.cost - cfg.eps_cost * abs(inc.cost):
         return None
-    policy, pi = inc.policy.copy(), inc.pi.copy()
-    policy[best_t] = success_to_power(cands[best_t, pick[best_t]], ch)
-    pi[best_t:best_t + 1] = policy_to_success(policy[best_t:best_t + 1], ch)
-    return _incumbent(sys, ch, policy, pi, ex2_1)
+    p = success_to_power(float(v[t]) if d1[t] < d0[t] else 0.0, ch)
+    policy, pi, power = inc.policy.copy(), inc.pi.copy(), inc.power.copy()
+    policy[t], pi[t] = p, (np.exp(-ch.theta / p) if p > 0 else 0.0)
+    if not pi[t] <= ch.pi_max:
+        validate_success_vector(pi, ch)  # raises as compute_tables would
+    power[t] = -ch.theta / np.log(pi[t]) if pi[t] > 0 else 0.0
+    fbar, fs, ex2 = inc.fbar.copy(), inc.fs.copy(), inc.ex2.copy()
+    _update_tables(sys, pi.tolist(), fbar, fs, ex2, t, t)
+    cost = _total_cost(sys, pi, np.fromiter(ex2, float), power)
+    return _Incumbent(policy, pi, power, fbar, fs, ex2, cost)
 
 
 def optimize_policy(
@@ -222,8 +239,9 @@ def optimize_policy(
     k_max short of a fixed point emits a RuntimeWarning.
 
     The incumbent's policy, success vector, tables and cost carry over from
-    one iteration to the next, so an iteration runs one backward and one
-    forward pass, for the policy it adopts.  A converged policy is an exact
+    one iteration to the next, so an adopted move at slot t* costs T
+    recursion slot-steps: the backward pass from t* down to 0 and the
+    forward pass from t* to T-1.  A converged policy is an exact
     fixed point: no slot's candidate improves its cost by cfg.eps_cost
     relative, whichever start the run took.
     """
@@ -240,7 +258,7 @@ def optimize_policy(
     converged = False
     iterations = 0
     for iterations in range(1, k_max + 1):
-        nxt = _step(sys, ch, cfg, ex2_1, inc)
+        nxt = _step(sys, ch, cfg, inc)
         converged = nxt is None
         if not converged:
             inc = nxt

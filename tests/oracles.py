@@ -31,7 +31,7 @@ from lqpower import (
     policy_to_success,
     success_to_power,
 )
-from lqpower.model import _transmission_energy, validate_policy, validate_success_vector
+from lqpower.model import _power, validate_policy, validate_success_vector
 from lqpower.optimizer import TIE_TOL, _incumbent, _step
 
 # Largest horizon accepted by the enumeration oracle (2**T erasure patterns).
@@ -275,7 +275,7 @@ def coordinate_sweep(
     policy = np.array(policy, dtype=float)
     ex2_1 = sys.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1
     inc = _incumbent(sys, ch, policy, policy_to_success(policy, ch), ex2_1)
-    nxt = _step(sys, ch, cfg, ex2_1, inc)
+    nxt = _step(sys, ch, cfg, inc)
     if nxt is not None:
         inc = nxt
     return inc.policy, inc.cost
@@ -350,7 +350,7 @@ def expected_cost_enumerated(
         zt = z[:, t]
         cond_cost += (sys.q + rk2 * zt) * moment
         moment = (sys.a + sys.b * sys.k * zt) ** 2 * moment + sys.sigma_d2
-    return float(np.dot(weights, cond_cost)) + _transmission_energy(pi, ch)
+    return float(np.dot(weights, cond_cost)) + float(_power(pi, ch)[pi > 0].sum())
 
 
 # ----------------------------------------------------------------------------

@@ -119,6 +119,13 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="sys.q"):
             load_config(path=path)
 
+    @pytest.mark.parametrize("value", [{"a": 1}, 7, ""])
+    def test_output_dir_must_be_a_nonempty_string(self, tmp_path, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"output_dir": value}))
+        with pytest.raises(ConfigError, match="output_dir"):
+            load_config(path=path)
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config(path="/nonexistent/cfg.json")

@@ -17,6 +17,7 @@ from lqpower import (
     power_to_success,
     success_to_power,
 )
+from lqpower.model import _update_tables
 from oracles import (
     cost_direct,
     cost_slope,
@@ -243,6 +244,48 @@ class TestRecursionTables:
             assert np.array_equal(tab.fbar, fbar)
             assert np.array_equal(tab.fs, fs)
             assert np.array_equal(tab.ex2, ex2)
+
+
+class TestPartialUpdate:
+    """Rerunning the passes from one changed slot retraces compute_tables."""
+
+    def test_bitwise_matches_full_tables(self):
+        rng = np.random.default_rng(44)
+        for _ in range(120):
+            s = random_system(rng, t_max=200)
+            ch = random_channel(rng)
+            pi = random_success(rng, ch, s.T)
+            ex2_1 = float(rng.uniform(0, 2))
+            tab = compute_tables(s, ch, pi, ex2_1)
+            t = int(rng.integers(s.T))
+            pi[t] = rng.choice([0.0, ch.pi_max, rng.uniform(0, ch.pi_max)])
+            fbar, fs, ex2 = tab.fbar.tolist(), tab.fs.tolist(), tab.ex2.tolist()
+            _update_tables(s, pi.tolist(), fbar, fs, ex2, t, t)
+            full = compute_tables(s, ch, pi, ex2_1)
+            assert fbar == full.fbar.tolist()
+            assert fs == full.fs.tolist()
+            assert ex2 == full.ex2.tolist()
+
+    @pytest.mark.parametrize("stable, t, ex2_1, q, match", [
+        # the first stabilizing slot falls silent: E[x_t^2] ~ 9^t is just
+        # finite at slot 324 and overflows at the next one
+        ((323, 328), 323, 1.0, 1e-200, r"second moment .* slot t = 325 of T = 329"),
+        # the last stabilizing slot falls silent: the tails, just finite
+        # over 323 silent slots, overflow at it
+        ((0, 6), 5, 1e-300, 1.0, r"tail factor .* slot t = 6 of T = 329"),
+    ])
+    def test_overflow_names_the_same_slot(self, stable, t, ex2_1, q, match):
+        s = SystemParams(a=3.0, b=-1.0, k=3.0, q=q, r=q / 2, T=329)
+        ch = ChannelParams(gamma=0.1, p_max=3.0)
+        pi = np.zeros(s.T)
+        pi[slice(*stable)] = 0.9   # a^2 + c pi is 0.9 there and 9 at silence
+        tab = compute_tables(s, ch, pi, ex2_1)
+        pi[t] = 0.0
+        with pytest.raises(ValueError, match=match):
+            compute_tables(s, ch, pi, ex2_1)
+        with pytest.raises(ValueError, match=match):
+            _update_tables(s, pi.tolist(), tab.fbar.tolist(), tab.fs.tolist(),
+                           tab.ex2.tolist(), t, t)
 
 
 class TestNonFiniteMoments:

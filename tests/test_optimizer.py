@@ -18,7 +18,7 @@ from lqpower import (
     slot_candidates,
     stationary_success,
 )
-from lqpower import optimizer
+from lqpower import model, optimizer
 from lqpower.experiments import (
     FIG2_VARIANTS,
     FIG3_SIGMA_D2_VALUES,
@@ -357,21 +357,29 @@ class TestOptimizePolicy:
             optimize_policy(s, CH, CFG)
 
     @pytest.mark.parametrize("k_max", [None, 5])
-    def test_one_table_pass_per_adopted_move(self, monkeypatch, k_max):
-        # work count, no timing: the start's tables plus one table set per
-        # adopted move, and no full cost evaluation beyond the start's
-        calls = {"compute_tables": 0, "expected_cost": 0}
+    def test_t_slot_steps_per_adopted_move(self, monkeypatch, k_max):
+        # work count, no timing: after the start's full passes, a move at
+        # slot t reruns the backward pass from t down to 0 and the forward
+        # pass from t to T-1, T slot-steps together, and no full cost
+        # evaluation runs beyond the start's
+        passes, cost_calls = [], []
+        backward, forward, cost = model._backward, model._forward, optimizer.expected_cost
 
-        def counting(name):
-            fn = getattr(optimizer, name)
+        def counted_backward(sys, pi, fbar, fs, top):
+            passes.append(("backward", top, top + 1))
+            backward(sys, pi, fbar, fs, top)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted_forward(sys, pi, ex2, bottom):
+            passes.append(("forward", bottom, len(ex2) - 1 - bottom))
+            forward(sys, pi, ex2, bottom)
 
-        for name in calls:
-            monkeypatch.setattr(optimizer, name, counting(name))
+        def counted_cost(*args, **kwargs):
+            cost_calls.append(1)
+            return cost(*args, **kwargs)
+
+        monkeypatch.setattr(model, "_backward", counted_backward)
+        monkeypatch.setattr(model, "_forward", counted_forward)
+        monkeypatch.setattr(optimizer, "expected_cost", counted_cost)
         s = replace(NOMINAL, sigma_d2=0.05)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -380,7 +388,16 @@ class TestOptimizePolicy:
         assert trace.iterations > 1 and adopted > 0
         if k_max is not None:
             assert not trace.converged and adopted == trace.iterations == k_max
-        assert calls == {"compute_tables": adopted + 1, "expected_cost": 1}
+        T = s.T
+        # the start: expected_cost's forward pass, then the incumbent's tables
+        assert passes[:3] == [("forward", 0, T - 1), ("backward", T - 1, T),
+                              ("forward", 0, T - 1)]
+        moves = passes[3:]
+        assert len(moves) == 2 * adopted
+        for (b, top, b_steps), (f, bottom, f_steps) in zip(moves[::2], moves[1::2]):
+            assert (b, f) == ("backward", "forward") and top == bottom
+            assert b_steps + f_steps == T
+        assert len(cost_calls) == 1
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="k_max"):
@@ -420,8 +437,8 @@ def _floats(lo, hi):
 
 
 @st.composite
-def _scenarios(draw):
-    """A valid system, channel and optimizer config with T <= 10."""
+def _scenarios(draw, t_max=10):
+    """A valid system, channel and optimizer config with T <= t_max."""
     sign = st.sampled_from([-1.0, 1.0])
     s = SystemParams(
         a=draw(_floats(0.6, 1.3)),
@@ -431,7 +448,7 @@ def _scenarios(draw):
         r=draw(_floats(0.05, 2.0)),
         sigma_x2=draw(_floats(0.0, 2.0)),
         sigma_d2=draw(st.just(0.0) | _floats(0.0, 0.5)),
-        T=draw(st.integers(1, 10)),
+        T=draw(st.integers(1, t_max)),
     )
     ch = ChannelParams(
         gamma=draw(_floats(0.3, 3.0)),
@@ -458,6 +475,25 @@ def test_result_is_a_single_slot_minimum(scenario):
     grid = np.linspace(0.0, ch.pi_max, 1001)
     costs = single_slot_costs(s, ch, trace.success, ex2_1, grid)
     assert costs.min() >= trace.cost - (cfg.eps_cost + 1e-11) * abs(trace.cost)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_scenarios(t_max=60))
+def test_history_matches_full_table_sweeps(scenario):
+    # the tables updated from the moved slot on, carried over every
+    # iteration, retrace oracles.coordinate_sweep, which rebuilds them in
+    # full before each step
+    s, ch, cfg = scenario
+    # feedback against the input (b k < 0) mostly stabilizes, so that most
+    # descents move many slots
+    s = replace(s, k=-math.copysign(s.k, s.b))
+    trace = optimize_policy(s, ch, cfg)
+    _, costs, policies = _descent(coordinate_sweep, s, ch, cfg)
+    assert np.array_equal(trace.cost_history, costs)
+    assert np.array_equal(trace.policy, policies[-1])
+    assert np.all(np.diff(trace.cost_history) <= 0)
+    ex2_1 = s.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1
+    assert trace.cost == expected_cost(s, ch, trace.success, ex2_1)
 
 
 def _descent(sweep, s, ch, cfg):
