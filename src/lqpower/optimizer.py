@@ -202,7 +202,7 @@ def _step(sys: SystemParams, ch: ChannelParams, cfg: OptimizerConfig,
     """
     v, d0, d1 = _candidates(sys, ch, np.fromiter(inc.fbar, float),
                             np.fromiter(inc.ex2, float), inc.pi, inc.power)
-    slot_cost = inc.cost + np.minimum(d0, d1)  # the first candidate wins ties
+    slot_cost = inc.cost + np.minimum(d0, d1)
     # a later slot displaces the running winner only when strictly better
     # beyond the tie tolerance, so only a strict prefix minimum can
     later = np.flatnonzero(slot_cost[1:] < np.fmin.accumulate(slot_cost)[:-1]) + 1
@@ -214,7 +214,7 @@ def _step(sys: SystemParams, ch: ChannelParams, cfg: OptimizerConfig,
             bar = cost - TIE_TOL * abs(cost)
     if not best_cost < inc.cost - cfg.eps_cost * abs(inc.cost):
         return None
-    p = success_to_power(float(v[t]) if d1[t] < d0[t] else 0.0, ch)
+    p = success_to_power(float(v[t]) if d1[t] < d0[t] else 0.0, ch)  # silence wins ties
     policy, pi, power = inc.policy.copy(), inc.pi.copy(), inc.power.copy()
     policy[t], pi[t] = p, (np.exp(-ch.theta / p) if p > 0 else 0.0)
     if not pi[t] <= ch.pi_max:
