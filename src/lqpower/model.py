@@ -7,8 +7,9 @@ theta = gamma*sigma2/gbar collapses the Rayleigh-fading channel constants.
 On success the controller applies u[t] = k*x[t]; on a drop u[t] = 0.
 
 This module holds the parameter containers, the power <-> success-probability
-mapping, the exact expected combined cost (control + transmission energy)
-and the backward/forward recursion tables behind the per-slot optimizer.
+mapping (one np.exp(-theta/p), which also takes p_max to pi_max), the exact
+expected combined cost (control + transmission energy) and the
+backward/forward recursion tables behind the per-slot optimizer.
 
 The two recursions are O(T) loops over Python floats: the backward pass
 gives the tail factors, the forward pass the state second moments, and the
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -106,6 +108,9 @@ class ChannelParams:
             if not getattr(self, name) > 0:
                 raise ValueError(
                     f"ch.{name} must be > 0 (got {getattr(self, name)})")
+        if not self.pi_max < 1:  # else the cap's power -theta/ln(pi_max) is inf
+            raise ValueError(f"ch: theta/p_max = {self.theta / self.p_max} is so "
+                             "small that pi_max = exp(-theta/p_max) rounds to 1")
 
     @property
     def theta(self) -> float:
@@ -114,8 +119,8 @@ class ChannelParams:
 
     @property
     def pi_max(self) -> float:
-        """Largest achievable success probability, exp(-theta/p_max)."""
-        return math.exp(-self.theta / self.p_max)
+        """Largest success probability: policy_to_success's image of p_max."""
+        return float(np.exp(-self.theta / self.p_max))
 
 
 @dataclass
@@ -143,34 +148,31 @@ def power_to_success(p: float, ch: ChannelParams) -> float:
 
     p = 0 maps to probability exactly 0 (no transmission, continuous limit).
     """
-    if p < 0 or p > ch.p_max:
-        raise ValueError(f"power must lie in [0, {ch.p_max}] (got {p})")
-    if p == 0:
-        return 0.0
-    return math.exp(-ch.theta / p)
+    return float(policy_to_success([p], ch)[0])
 
 
 def success_to_power(pi: float, ch: ChannelParams) -> float:
     """Transmit power -theta/ln(pi) achieving success probability pi.
 
-    Inverse of :func:`power_to_success`; pi = 0 maps to power 0.  Raises if
-    pi >= 1 (unreachable) or pi > pi_max (would exceed the power cap).
+    Inverse of :func:`power_to_success`; pi = 0 maps to power 0 and pi_max
+    to p_max exactly.  Raises unless 0 <= pi <= pi_max.
     """
-    if pi < 0 or pi >= 1:
-        raise ValueError(f"success probability must lie in [0, 1) (got {pi})")
-    if pi > ch.pi_max:
+    pi_max = ch.pi_max
+    if not 0 <= pi <= pi_max:
         raise ValueError(
-            f"success probability {pi} exceeds pi_max = {ch.pi_max} "
-            f"(power cap {ch.p_max})")
+            f"success probability must lie in [0, pi_max = {pi_max}] "
+            f"(power cap {ch.p_max}; got {pi})")
     if pi == 0:
         return 0.0
-    # pi <= pi_max guarantees the power is within the cap; clamp the ulp of
-    # rounding that exp/log round-tripping can spill past it
+    if pi == pi_max:  # the log of a pi_max near 1 lands tens of ulps below p_max
+        return ch.p_max
+    # math.log, not np.log, which moves written powers by an ulp; the clamp
+    # catches a pi just below pi_max that rounds to a power above the cap
     return min(-ch.theta / math.log(pi), ch.p_max)
 
 
 def policy_to_success(p: np.ndarray, ch: ChannelParams) -> np.ndarray:
-    """Vectorised power -> success probability over a whole policy."""
+    """The power -> success map, np.exp(-theta/p) (0 at p = 0), over a policy."""
     p = np.asarray(p, dtype=float)
     validate_policy(p, ch)
     out = np.zeros_like(p)
@@ -183,17 +185,23 @@ def validate_policy(p: np.ndarray, ch: ChannelParams) -> None:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("policy must be a 1-d sequence of length T >= 1")
-    if np.any(p < 0) or np.any(p > ch.p_max):
+    if not np.all((0 <= p) & (p <= ch.p_max)):
         raise ValueError(
             f"policy powers must lie in [0, {ch.p_max}] "
             f"(got range [{p.min()}, {p.max()}])")
 
 
-def validate_success_vector(pi: np.ndarray, ch: ChannelParams) -> None:
+def _success_array(pi) -> np.ndarray:
+    """pi as a float array, checked to be 1-d and nonempty."""
     pi = np.asarray(pi, dtype=float)
     if pi.ndim != 1 or pi.size < 1:
         raise ValueError("success vector must be a 1-d sequence of length T >= 1")
-    if np.any(pi < 0) or np.any(pi > ch.pi_max):
+    return pi
+
+
+def validate_success_vector(pi: np.ndarray, ch: ChannelParams) -> None:
+    pi = _success_array(pi)
+    if not np.all((0 <= pi) & (pi <= ch.pi_max)):
         raise ValueError(
             f"success probabilities must lie in [0, pi_max = {ch.pi_max}] "
             f"(got range [{pi.min()}, {pi.max()}])")
@@ -269,16 +277,15 @@ def _total_cost(sys: SystemParams, pi: np.ndarray, ex2: np.ndarray, power) -> fl
     return cost
 
 
-def _backward(sys: SystemParams, pi: list, fbar: list, fs: list, top: int) -> None:
+def _backward(sys: SystemParams, pi: list, fbar: list, top: int) -> None:
     """Rerun the backward recursion from slot top down to slot 0, in place."""
     a2, c, q = float(sys.a**2), float(sys.closed_loop_coeff), float(sys.q)
     rk2 = float(sys.r * sys.k**2)
-    f, s = fbar[top + 1], fs[top + 1]
+    f = fbar[top + 1]
     for t in range(top, -1, -1):
         p = pi[t]
         f = (q + rk2 * p) + (a2 + c * p) * f
-        s = f + s
-        fbar[t], fs[t] = f, s
+        fbar[t] = f
 
 
 def _forward(sys: SystemParams, pi: list, ex2: list, bottom: int) -> None:
@@ -291,20 +298,20 @@ def _forward(sys: SystemParams, pi: list, ex2: list, bottom: int) -> None:
 
 
 def _first_moment(ex2_1: float, T: int) -> list[float]:
-    if ex2_1 < 0:
-        raise ValueError(f"ex2_1 must be >= 0 (got {ex2_1})")
+    if not 0 <= ex2_1 < math.inf:
+        raise ValueError(f"ex2_1 must be a finite number >= 0 (got {ex2_1})")
     return [float(ex2_1)] * T
 
 
-def _check(fs: list | None, ex2: list | None) -> None:
-    """Raise naming where a tail factor overflows at a nonzero moment (at any
-    moment, without ex2) or, failing that, where a moment overflows."""
-    # inf and nan carry through every later step: fs[0] and ex2[-1] tell
-    if fs is not None and not math.isfinite(fs[0]):
-        t = next(t for t in range(len(fs) - 1, -1, -1) if not math.isfinite(fs[t]))
+def _check(tail: list | None, ex2: list | None) -> None:
+    """Raise naming where a tail table (fbar or fs) overflows at a nonzero moment
+    (at any moment, without ex2) or, failing that, where a moment overflows."""
+    # inf and nan carry through every later step: tail[0] and ex2[-1] tell
+    if tail is not None and not math.isfinite(tail[0]):
+        t = next(t for t in range(len(tail) - 1, -1, -1) if not math.isfinite(tail[t]))
         if ex2 is None or any(ex2[:t + 1]):
             raise ValueError(
-                f"tail factor is not finite at slot t = {t + 1} of T = {len(fs) - 1}")
+                f"tail factor is not finite at slot t = {t + 1} of T = {len(tail) - 1}")
     if ex2 is not None and not math.isfinite(ex2[-1]):
         t = next(t for t, v in enumerate(ex2) if not math.isfinite(v))
         raise ValueError(
@@ -312,16 +319,15 @@ def _check(fs: list | None, ex2: list | None) -> None:
             f"of T = {len(ex2)}")
 
 
-def _update_tables(sys: SystemParams, pi: list, fbar: list, fs: list, ex2: list,
-                   top: int, bottom: int) -> None:
-    """Rerun the backward pass from slot top and the forward one from bottom, and check.
+def _update_tables(sys: SystemParams, pi: list, fbar: list, ex2: list, t: int) -> None:
+    """Rerun the backward pass from slot t and the forward one from t, and check.
 
-    top = bottom = t after a change of pi_t alone gives compute_tables's
-    lists bit for bit in T slot-steps (compute_tables: top = T-1, bottom = 0).
+    After a change of pi_t alone this gives compute_tables's fbar and ex2
+    bit for bit in T slot-steps.
     """
-    _backward(sys, pi, fbar, fs, top)
-    _forward(sys, pi, ex2, bottom)
-    _check(fs, ex2)
+    _backward(sys, pi, fbar, t)
+    _forward(sys, pi, ex2, t)
+    _check(fbar, ex2)
 
 
 def forward_second_moments(
@@ -334,8 +340,9 @@ def forward_second_moments(
     same two products and two sums in the same order as over numpy scalars.
     Raises ValueError naming the first slot whose moment is not finite.
     """
+    pi = _success_array(pi)
     ex2 = _first_moment(ex2_1, len(pi))
-    _forward(sys, np.asarray(pi, dtype=float).tolist(), ex2, 0)
+    _forward(sys, pi.tolist(), ex2, 0)
     _check(None, ex2)
     return np.array(ex2)
 
@@ -345,9 +352,9 @@ def backward_tables(
 ) -> RecursionTables:
     """Tail cost tables fbar and fs of a success vector, by backward pass.
 
-    fbar[t] = (q + r k^2 pi_t) + (a^2 + c*pi_t) fbar[t+1] and
-    fs[t] = fbar[t] + fs[t+1], run from t = T-1 down to 0 against the
-    trailing sentinels fbar[T] = fs[T] = 0.  At the terminal slot this gives
+    fbar[t] = (q + r k^2 pi_t) + (a^2 + c*pi_t) fbar[t+1], run from t = T-1
+    down to 0 against the trailing sentinel fbar[T] = 0, and
+    fs[t] = fbar[t] + fs[t+1] with fs[T] = 0.  At the terminal slot this gives
     fbar[T-1] = q + r k^2 pi_{T-1}, which reduces to q whenever the last
     slot does not transmit (the optimal terminal choice).  The loop runs
     over Python floats in the same operation order as over numpy scalars.
@@ -355,8 +362,9 @@ def backward_tables(
     finite.
     """
     pi = _horizon_success(sys, ch, pi).tolist()
-    fbar, fs = [0.0] * (sys.T + 1), [0.0] * (sys.T + 1)
-    _backward(sys, pi, fbar, fs, sys.T - 1)
+    fbar = [0.0] * (sys.T + 1)
+    _backward(sys, pi, fbar, sys.T - 1)
+    fs = list(accumulate(reversed(fbar)))[::-1]
     _check(fs, None)
     return RecursionTables(fbar=np.array(fbar), fs=np.array(fs))
 
@@ -372,7 +380,9 @@ def compute_tables(
     cost stay finite.
     """
     pi = _horizon_success(sys, ch, pi).tolist()
-    fbar, fs = [0.0] * (sys.T + 1), [0.0] * (sys.T + 1)
-    ex2 = _first_moment(ex2_1, sys.T)
-    _update_tables(sys, pi, fbar, fs, ex2, sys.T - 1, 0)
+    fbar, ex2 = [0.0] * (sys.T + 1), _first_moment(ex2_1, sys.T)
+    _backward(sys, pi, fbar, sys.T - 1)
+    _forward(sys, pi, ex2, 0)
+    fs = list(accumulate(reversed(fbar)))[::-1]
+    _check(fs, ex2)
     return RecursionTables(fbar=np.array(fbar), fs=np.array(fs), ex2=np.array(ex2))

@@ -14,10 +14,11 @@ exact cost change against the incumbent's tables and adopts the best
 single-coordinate replacement, writing that one slot's power: the cost
 descends monotonically.  This is the only descent rule; optimize_policy is
 its one entry point.
-The incumbent's tables and exact cost carry over to the next iteration:
-adopting a move at slot t* reruns the backward pass from t* down to slot 0
-and the forward pass from t* to T-1, T slot-steps bit-equal to full tables,
-plus O(T) array work.
+The incumbent's fbar and ex2 tables and exact cost carry over to the next
+iteration: adopting a move at slot t* reruns the backward pass from t* down
+to slot 0 and the forward pass from t* to T-1, T slot-steps bit-equal to
+full tables, plus O(T) array work.  The moved slot's pi comes from the same
+np.exp as policy_to_success and pi_max, so a move to the cap stays within it.
 """
 
 from __future__ import annotations
@@ -38,11 +39,9 @@ from .model import (
     _total_cost,
     _update_tables,
     compute_tables,
-    cost_from_moments,
     expected_cost,
     policy_to_success,
     success_to_power,
-    validate_success_vector,
 )
 
 __all__ = [
@@ -57,7 +56,7 @@ __all__ = [
 # ties go to the smallest slot index (and to the incumbent over any modification).
 TIE_TOL = 1e-12
 
-_E_MINUS_2 = math.exp(-2.0)
+_E_MINUS_2 = float(np.exp(-2.0))
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,9 @@ class OptimizerConfig:
                 isinstance(self.k_max, (int, np.integer)) and self.k_max >= 1)):
             raise ValueError(
                 f"opt.k_max must be null or an integer >= 1 (got {self.k_max})")
-        if not self.eps_cost > 0:
-            raise ValueError(f"opt.eps_cost must be > 0 (got {self.eps_cost})")
+        if not 0 < self.eps_cost < math.inf:
+            raise ValueError(
+                f"opt.eps_cost must be a finite number > 0 (got {self.eps_cost})")
         if self.ex2_1 is not None and not 0 <= self.ex2_1 < math.inf:
             raise ValueError(
                 f"opt.ex2_1 must be null or a finite number >= 0 (got {self.ex2_1})")
@@ -134,11 +134,12 @@ def _candidates(sys, ch, fbar, ex2, pi, power) -> tuple[np.ndarray, ...]:
     # a slot whose state is 0 almost surely moves no cost through it, even
     # where its tail factor has overflowed
     A = np.multiply(ex2, tail, out=np.zeros_like(tail), where=ex2 > 0.0)
-    pi_edge = min(_E_MINUS_2, ch.pi_max)
+    pi_max = ch.pi_max  # one np.exp per read
+    pi_edge = min(_E_MINUS_2, pi_max)
     down = np.flatnonzero(A + ch.theta / (pi_edge * math.log(pi_edge) ** 2) < 0.0)
     d0 = 0.0 - pi * A - power  # +0.0, not -0.0, at a silent slot
     v, d1 = np.zeros_like(A), d0.copy()
-    v[down] = v_down = np.fmin(stationary_success(A[down], ch), ch.pi_max)
+    v[down] = v_down = np.fmin(stationary_success(A[down], ch), pi_max)
     d1[down] = (v_down - pi[down]) * A[down] - ch.theta / np.log(v_down) - power[down]
     return v, d0, d1
 
@@ -169,13 +170,12 @@ def slot_candidates(
 
 
 class _Incumbent(NamedTuple):
-    """A policy, its pi, _power(pi), recursion tables (as lists) and exact cost."""
+    """A policy, its pi, _power(pi), fbar and ex2 tables (as lists) and exact cost."""
 
     policy: np.ndarray
     pi: np.ndarray
     power: np.ndarray
     fbar: list[float]
-    fs: list[float]
     ex2: list[float]
     cost: float
 
@@ -185,9 +185,9 @@ def _incumbent(
     ex2_1: float,
 ) -> _Incumbent:
     """Tables of pi from one backward and one forward pass, and its cost."""
-    tab = compute_tables(sys, ch, pi, ex2_1)
-    return _Incumbent(policy, pi, _power(pi, ch), tab.fbar.tolist(), tab.fs.tolist(),
-                      tab.ex2.tolist(), cost_from_moments(sys, ch, pi, tab.ex2))
+    tab, power = compute_tables(sys, ch, pi, ex2_1), _power(pi, ch)
+    return _Incumbent(policy, pi, power, tab.fbar.tolist(), tab.ex2.tolist(),
+                      _total_cost(sys, pi, tab.ex2, power))
 
 
 def _step(sys: SystemParams, ch: ChannelParams, cfg: OptimizerConfig,
@@ -216,14 +216,13 @@ def _step(sys: SystemParams, ch: ChannelParams, cfg: OptimizerConfig,
         return None
     p = success_to_power(float(v[t]) if d1[t] < d0[t] else 0.0, ch)  # silence wins ties
     policy, pi, power = inc.policy.copy(), inc.pi.copy(), inc.power.copy()
+    # policy_to_success's np.exp, as pi_max's: p <= p_max keeps pi <= pi_max
     policy[t], pi[t] = p, (np.exp(-ch.theta / p) if p > 0 else 0.0)
-    if not pi[t] <= ch.pi_max:
-        validate_success_vector(pi, ch)  # raises as compute_tables would
     power[t] = -ch.theta / np.log(pi[t]) if pi[t] > 0 else 0.0
-    fbar, fs, ex2 = inc.fbar.copy(), inc.fs.copy(), inc.ex2.copy()
-    _update_tables(sys, pi.tolist(), fbar, fs, ex2, t, t)
+    fbar, ex2 = inc.fbar.copy(), inc.ex2.copy()
+    _update_tables(sys, pi.tolist(), fbar, ex2, t)
     cost = _total_cost(sys, pi, np.fromiter(ex2, float), power)
-    return _Incumbent(policy, pi, power, fbar, fs, ex2, cost)
+    return _Incumbent(policy, pi, power, fbar, ex2, cost)
 
 
 def optimize_policy(

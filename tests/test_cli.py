@@ -119,6 +119,13 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="sys.q"):
             load_config(path=path)
 
+    def test_eps_cost_must_be_finite(self, tmp_path):
+        # an infinite quantum would stop the descent at once, "converged"
+        path = tmp_path / "cfg.json"
+        path.write_text('{"opt": {"eps_cost": Infinity}}')
+        with pytest.raises(ConfigError, match=r"opt\.eps_cost must be a finite number"):
+            load_config(path=path)
+
     @pytest.mark.parametrize("value", [{"a": 1}, 7, ""])
     def test_output_dir_must_be_a_nonempty_string(self, tmp_path, value):
         path = tmp_path / "cfg.json"

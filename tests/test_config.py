@@ -16,6 +16,17 @@ def _floats(**bounds):
 _positive = _floats(min_value=0.0, exclude_min=True)
 _nonnegative = _floats(min_value=0.0)
 
+
+def _valid_channel(kwargs) -> bool:
+    """Whether ChannelParams accepts these positive constants: it also
+    rejects a theta/p_max so small that pi_max rounds to 1."""
+    try:
+        ChannelParams(**kwargs)
+    except ValueError:
+        return False
+    return True
+
+
 _SECTIONS = {
     "sys": (SystemParams, st.fixed_dictionaries({
         "a": _floats(), "b": _floats(), "k": _floats(), "q": _positive,
@@ -23,7 +34,7 @@ _SECTIONS = {
         "T": st.integers(1, 10**6)})),
     "ch": (ChannelParams, st.fixed_dictionaries({
         "gamma": _positive, "sigma2": _positive, "gbar": _positive,
-        "p_max": _positive})),
+        "p_max": _positive}).filter(_valid_channel)),
     "opt": (OptimizerConfig, st.fixed_dictionaries({
         "k_max": st.none() | st.integers(1, 10**6), "eps_cost": _positive,
         "ex2_1": st.none() | _nonnegative,

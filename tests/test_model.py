@@ -45,7 +45,8 @@ class TestMapping:
     def test_channel_derived_quantities(self):
         ch = ChannelParams(gamma=2.0, sigma2=0.5, gbar=4.0, p_max=1.0)
         assert ch.theta == 2.0 * 0.5 / 4.0
-        assert ch.pi_max == math.exp(-ch.theta / ch.p_max)
+        # the one power -> success map takes the cap to pi_max
+        assert ch.pi_max == policy_to_success([ch.p_max], ch)[0]
         assert 0.0 < ch.pi_max < 1.0
 
     def test_power_to_success_values(self):
@@ -58,6 +59,10 @@ class TestMapping:
             power_to_success(-0.1, CH)
         with pytest.raises(ValueError):
             power_to_success(3.1, CH)
+        with pytest.raises(ValueError, match="policy powers must lie"):
+            power_to_success(math.nan, CH)
+        with pytest.raises(ValueError, match="policy powers must lie"):
+            policy_to_success([math.nan, 1.0, 0.0], CH)
 
     def test_success_to_power_values(self):
         assert success_to_power(0.0, CH) == 0.0
@@ -72,6 +77,10 @@ class TestMapping:
         # above the cap-implied maximum
         with pytest.raises(ValueError):
             success_to_power(CH.pi_max * 1.01, CH)
+        with pytest.raises(ValueError, match="must lie in"):
+            success_to_power(math.nan, CH)
+        with pytest.raises(ValueError, match="success probabilities must lie"):
+            expected_cost(_sys(T=2), CH, np.array([math.nan, 0.0]))
 
     def test_round_trip_grid(self):
         p = np.linspace(CH.p_max / 1000, CH.p_max, 1000)
@@ -87,10 +96,12 @@ class TestMapping:
             assert abs(back - p) <= 1e-12 * p
 
     def test_cap_round_trip_stays_feasible(self):
+        # the cap maps to pi_max and back exactly
         rng = np.random.default_rng(12)
         for _ in range(200):
             ch = random_channel(rng)
-            assert success_to_power(ch.pi_max, ch) <= ch.p_max
+            assert power_to_success(ch.p_max, ch) == ch.pi_max
+            assert success_to_power(ch.pi_max, ch) == ch.p_max
 
 
 class TestParamValidation:
@@ -101,6 +112,11 @@ class TestParamValidation:
     def test_system_invariants(self, field, value):
         with pytest.raises(ValueError, match=field):
             _sys(**{field: value})
+
+    def test_pi_max_must_stay_below_one(self):
+        # exp(-1e-17) rounds to 1: the cap's power -theta/ln(pi_max) is not finite
+        with pytest.raises(ValueError, match=r"theta/p_max = 1e-17 .* rounds to 1"):
+            ChannelParams(gamma=1e-17, p_max=1.0)
 
     @pytest.mark.parametrize("field", ["gamma", "sigma2", "gbar", "p_max"])
     def test_channel_invariants(self, field):
@@ -259,11 +275,10 @@ class TestPartialUpdate:
             tab = compute_tables(s, ch, pi, ex2_1)
             t = int(rng.integers(s.T))
             pi[t] = rng.choice([0.0, ch.pi_max, rng.uniform(0, ch.pi_max)])
-            fbar, fs, ex2 = tab.fbar.tolist(), tab.fs.tolist(), tab.ex2.tolist()
-            _update_tables(s, pi.tolist(), fbar, fs, ex2, t, t)
+            fbar, ex2 = tab.fbar.tolist(), tab.ex2.tolist()
+            _update_tables(s, pi.tolist(), fbar, ex2, t)
             full = compute_tables(s, ch, pi, ex2_1)
             assert fbar == full.fbar.tolist()
-            assert fs == full.fs.tolist()
             assert ex2 == full.ex2.tolist()
 
     @pytest.mark.parametrize("stable, t, ex2_1, q, match", [
@@ -284,8 +299,7 @@ class TestPartialUpdate:
         with pytest.raises(ValueError, match=match):
             compute_tables(s, ch, pi, ex2_1)
         with pytest.raises(ValueError, match=match):
-            _update_tables(s, pi.tolist(), tab.fbar.tolist(), tab.fs.tolist(),
-                           tab.ex2.tolist(), t, t)
+            _update_tables(s, pi.tolist(), tab.fbar.tolist(), tab.ex2.tolist(), t)
 
 
 class TestNonFiniteMoments:
@@ -349,6 +363,16 @@ class TestForwardMoments:
     def test_rejects_negative_initial_moment(self):
         with pytest.raises(ValueError):
             forward_second_moments(_sys(), np.zeros(2), -1.0)
+
+    @pytest.mark.parametrize("ex2_1", [math.nan, math.inf])
+    def test_rejects_non_finite_initial_moment(self, ex2_1):
+        with pytest.raises(ValueError, match=r"^ex2_1 must be a finite number >= 0"):
+            forward_second_moments(_sys(), np.zeros(2), ex2_1)
+
+    @pytest.mark.parametrize("pi", [np.array([]), np.zeros((2, 1))])
+    def test_rejects_empty_or_non_1d_success(self, pi):
+        with pytest.raises(ValueError, match="success vector must be a 1-d sequence"):
+            forward_second_moments(_sys(), pi, 1.0)
 
 
 class TestCostSlope:

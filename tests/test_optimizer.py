@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lqpower import (
     ChannelParams,
@@ -365,9 +365,9 @@ class TestOptimizePolicy:
         passes, cost_calls = [], []
         backward, forward, cost = model._backward, model._forward, optimizer.expected_cost
 
-        def counted_backward(sys, pi, fbar, fs, top):
+        def counted_backward(sys, pi, fbar, top):
             passes.append(("backward", top, top + 1))
-            backward(sys, pi, fbar, fs, top)
+            backward(sys, pi, fbar, top)
 
         def counted_forward(sys, pi, ex2, bottom):
             passes.append(("forward", bottom, len(ex2) - 1 - bottom))
@@ -494,6 +494,28 @@ def test_history_matches_full_table_sweeps(scenario):
     assert np.all(np.diff(trace.cost_history) <= 0)
     ex2_1 = s.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1
     assert trace.cost == expected_cost(s, ch, trace.success, ex2_1)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(theta=_floats(0.03, 30.0), p_max=_floats(0.3, 5.0), T=st.integers(1, 30))
+@example(theta=0.5081262829514546, p_max=2.6980215218848573, T=5)
+def test_descent_stays_in_the_image_of_the_cap(theta, p_max, T):
+    # pi_max is policy_to_success's own image of p_max, so neither a
+    # full-power start nor a move to the cap can leave [0, pi_max]
+    ch = ChannelParams(gamma=theta, p_max=p_max)
+    assert ch.pi_max == policy_to_success([p_max], ch)[0]
+    s = SystemParams(T=T)
+    for init in ("zero", "full"):
+        cfg = OptimizerConfig(init=init)
+        trace = optimize_policy(s, ch, cfg)
+        assert np.array_equal(trace.success, policy_to_success(trace.policy, ch))
+        slots, _, policies = _descent(coordinate_sweep, s, ch, cfg)
+        for t, old, new in zip(slots, policies, policies[1:]):
+            pi = policy_to_success(old, ch)
+            cands, _ = slot_candidates(s, ch, compute_tables(s, ch, pi, s.sigma_x2), pi)
+            if cands[t, 1] == ch.pi_max and new[t] > 0:  # a move to the cap
+                assert policy_to_success(new, ch)[t] <= ch.pi_max
+                assert abs(new[t] - p_max) <= math.ulp(p_max)
 
 
 def _descent(sweep, s, ch, cfg):
