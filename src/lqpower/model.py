@@ -9,7 +9,10 @@ On success the controller applies u[t] = k*x[t]; on a drop u[t] = 0.
 This module holds the parameter containers, the power <-> success-probability
 mapping (one np.exp(-theta/p), which also takes p_max to pi_max), the exact
 expected combined cost (control + transmission energy) and the
-backward/forward recursion tables behind the per-slot optimizer.
+backward/forward recursion tables behind the per-slot optimizer.  Every
+policy or success vector passed in crosses one boundary, _checked: a
+nonempty 1-d array, of length T where T applies, with each slot in
+[0, p_max] or [0, pi_max]; its error names the first slot out of range.
 
 The two recursions are O(T) loops over Python floats: the backward pass
 gives the tail factors, the forward pass the state second moments, and the
@@ -37,7 +40,6 @@ __all__ = [
     "validate_success_vector",
     "validate_policy",
     "expected_cost",
-    "cost_from_moments",
     "backward_tables",
     "forward_second_moments",
     "compute_tables",
@@ -108,9 +110,10 @@ class ChannelParams:
             if not getattr(self, name) > 0:
                 raise ValueError(
                     f"ch.{name} must be > 0 (got {getattr(self, name)})")
-        if not self.pi_max < 1:  # else the cap's power -theta/ln(pi_max) is inf
-            raise ValueError(f"ch: theta/p_max = {self.theta / self.p_max} is so "
-                             "small that pi_max = exp(-theta/p_max) rounds to 1")
+        pi_max = self.pi_max  # 0 also for an infinite theta
+        if not 0 < pi_max < 1:  # else the cap's power -theta/ln(pi_max) is inf or 0
+            raise ValueError(f"ch: theta/p_max = {self.theta / self.p_max} is out "
+                             f"of range: pi_max = exp(-theta/p_max) rounds to {pi_max:g}")
 
     @property
     def theta(self) -> float:
@@ -173,47 +176,45 @@ def success_to_power(pi: float, ch: ChannelParams) -> float:
 
 def policy_to_success(p: np.ndarray, ch: ChannelParams) -> np.ndarray:
     """The power -> success map, np.exp(-theta/p) (0 at p = 0), over a policy."""
-    p = np.asarray(p, dtype=float)
-    validate_policy(p, ch)
+    p = _checked(p, "policy", ch)
     out = np.zeros_like(p)
-    nz = p > 0
-    out[nz] = np.exp(-ch.theta / p[nz])
+    out[p > 0] = np.exp(-ch.theta / p[p > 0])
     return out
 
 
+_VECTORS = {"policy": ("policy", "policy powers", "p_max"),
+            "success": ("success vector", "success probabilities", "pi_max")}
+
+
+def _checked(x, kind: str, ch: ChannelParams | None = None,
+             T: int | None = None) -> np.ndarray:
+    """x as a 1-d float array, checked to be nonempty, of length T when T is
+    given and, when ch is, in [0, cap] in every slot (so never NaN), the cap
+    being ch.p_max for kind "policy" and ch.pi_max for kind "success"."""
+    name, entries, cap_name = _VECTORS[kind]
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 1:
+        raise ValueError(f"{name} must be a 1-d sequence of length T >= 1")
+    if T is not None and x.size != T:
+        raise ValueError(f"{name} has length {x.size}, expected T = {T}")
+    if ch is not None:
+        cap = getattr(ch, cap_name)
+        ok = (0 <= x) & (x <= cap)
+        if not ok.all():
+            t = int(np.argmin(ok))
+            raise ValueError(f"{entries} must lie in [0, {cap_name} = {cap}] "
+                             f"(slot t = {t + 1} of T = {x.size} is {x[t]})")
+    return x
+
+
 def validate_policy(p: np.ndarray, ch: ChannelParams) -> None:
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size < 1:
-        raise ValueError("policy must be a 1-d sequence of length T >= 1")
-    if not np.all((0 <= p) & (p <= ch.p_max)):
-        raise ValueError(
-            f"policy powers must lie in [0, {ch.p_max}] "
-            f"(got range [{p.min()}, {p.max()}])")
-
-
-def _success_array(pi) -> np.ndarray:
-    """pi as a float array, checked to be 1-d and nonempty."""
-    pi = np.asarray(pi, dtype=float)
-    if pi.ndim != 1 or pi.size < 1:
-        raise ValueError("success vector must be a 1-d sequence of length T >= 1")
-    return pi
+    """Raise unless p is a nonempty 1-d policy with powers in [0, p_max]."""
+    _checked(p, "policy", ch)
 
 
 def validate_success_vector(pi: np.ndarray, ch: ChannelParams) -> None:
-    pi = _success_array(pi)
-    if not np.all((0 <= pi) & (pi <= ch.pi_max)):
-        raise ValueError(
-            f"success probabilities must lie in [0, pi_max = {ch.pi_max}] "
-            f"(got range [{pi.min()}, {pi.max()}])")
-
-
-def _horizon_success(sys: SystemParams, ch: ChannelParams, pi) -> np.ndarray:
-    """pi as a float array, checked as a success vector of length T."""
-    pi = np.asarray(pi, dtype=float)
-    validate_success_vector(pi, ch)
-    if len(pi) != sys.T:
-        raise ValueError(f"success vector has length {len(pi)}, expected T = {sys.T}")
-    return pi
+    """Raise unless pi is a nonempty 1-d success vector in [0, pi_max]."""
+    _checked(pi, "success", ch)
 
 
 def _power(pi: np.ndarray, ch: ChannelParams) -> np.ndarray:
@@ -251,20 +252,8 @@ def expected_cost(
     ex2_1 : initial second moment E[x_1^2]; defaults to sys.sigma_x2, or pass
         x1**2 for a fixed known initial state
     """
-    pi = _horizon_success(sys, ch, pi)
+    pi = _checked(pi, "success", ch, sys.T)
     ex2 = forward_second_moments(sys, pi, sys.sigma_x2 if ex2_1 is None else ex2_1)
-    return cost_from_moments(sys, ch, pi, ex2)
-
-
-def cost_from_moments(
-    sys: SystemParams, ch: ChannelParams, pi: np.ndarray, ex2: np.ndarray
-) -> float:
-    """Expected cost of success vector pi from its second moments ex2.
-
-    The last step of :func:`expected_cost`, for callers that already hold
-    the forward pass of pi (such as ``RecursionTables.ex2``); the result is
-    bit-equal to ``expected_cost`` of the same pi.
-    """
     return _total_cost(sys, pi, ex2, _power(pi, ch))
 
 
@@ -340,7 +329,7 @@ def forward_second_moments(
     same two products and two sums in the same order as over numpy scalars.
     Raises ValueError naming the first slot whose moment is not finite.
     """
-    pi = _success_array(pi)
+    pi = _checked(pi, "success")
     ex2 = _first_moment(ex2_1, len(pi))
     _forward(sys, pi.tolist(), ex2, 0)
     _check(None, ex2)
@@ -361,7 +350,7 @@ def backward_tables(
     Raises ValueError naming the slot where a tail factor first stops being
     finite.
     """
-    pi = _horizon_success(sys, ch, pi).tolist()
+    pi = _checked(pi, "success", ch, sys.T).tolist()
     fbar = [0.0] * (sys.T + 1)
     _backward(sys, pi, fbar, sys.T - 1)
     fs = list(accumulate(reversed(fbar)))[::-1]
@@ -379,7 +368,7 @@ def compute_tables(
     a state that is 0 almost surely the tail factors can overflow and the
     cost stay finite.
     """
-    pi = _horizon_success(sys, ch, pi).tolist()
+    pi = _checked(pi, "success", ch, sys.T).tolist()
     fbar, ex2 = [0.0] * (sys.T + 1), _first_moment(ex2_1, sys.T)
     _backward(sys, pi, fbar, sys.T - 1)
     _forward(sys, pi, ex2, 0)

@@ -165,6 +165,12 @@ class TestOptimizeCommand:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
         assert "sys.q" in err
+        # a channel whose pi_max underflows fails on load, not in the descent
+        bad.write_text(json.dumps({"ch": {"gamma": 3000.0}}))
+        assert main(["optimize", "--config", str(bad), "--out", str(tmp_path)]) != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ch: theta/p_max = 1000.0 ")
+        assert len(err.strip().splitlines()) == 1
 
     def test_iteration_cap_warns_on_stderr(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -19,7 +19,8 @@ _nonnegative = _floats(min_value=0.0)
 
 def _valid_channel(kwargs) -> bool:
     """Whether ChannelParams accepts these positive constants: it also
-    rejects a theta/p_max so small that pi_max rounds to 1."""
+    rejects a theta/p_max so small that pi_max rounds to 1, and one so large
+    (an overflowed, infinite theta among them) that pi_max rounds to 0."""
     try:
         ChannelParams(**kwargs)
     except ValueError:
@@ -27,14 +28,23 @@ def _valid_channel(kwargs) -> bool:
     return True
 
 
+@st.composite
+def _channels(draw):
+    """Positive channel constants, p_max drawn through theta/p_max: of four
+    independent positive floats, most give a pi_max that rounds to 0 or 1."""
+    kw = draw(st.fixed_dictionaries(
+        {"gamma": _positive, "sigma2": _positive, "gbar": _positive}))
+    theta = kw["gamma"] * kw["sigma2"] / kw["gbar"]
+    kw["p_max"] = theta / draw(_floats(min_value=1e-15, max_value=700.0))
+    return kw
+
+
 _SECTIONS = {
     "sys": (SystemParams, st.fixed_dictionaries({
         "a": _floats(), "b": _floats(), "k": _floats(), "q": _positive,
         "r": _positive, "sigma_x2": _nonnegative, "sigma_d2": _nonnegative,
         "T": st.integers(1, 10**6)})),
-    "ch": (ChannelParams, st.fixed_dictionaries({
-        "gamma": _positive, "sigma2": _positive, "gbar": _positive,
-        "p_max": _positive}).filter(_valid_channel)),
+    "ch": (ChannelParams, _channels().filter(_valid_channel)),
     "opt": (OptimizerConfig, st.fixed_dictionaries({
         "k_max": st.none() | st.integers(1, 10**6), "eps_cost": _positive,
         "ex2_1": st.none() | _nonnegative,

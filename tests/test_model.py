@@ -63,6 +63,11 @@ class TestMapping:
             power_to_success(math.nan, CH)
         with pytest.raises(ValueError, match="policy powers must lie"):
             policy_to_success([math.nan, 1.0, 0.0], CH)
+        # the message names the first slot out of range and its value
+        with pytest.raises(ValueError, match=r"p_max = 3\.0\] \(slot t = 1 of T = 3 is nan\)$"):
+            policy_to_success([math.nan, 1.0, 0.0], CH)
+        with pytest.raises(ValueError, match=r"\(slot t = 2 of T = 3 is 3\.5\)$"):
+            policy_to_success([1.0, 3.5, math.nan], CH)
 
     def test_success_to_power_values(self):
         assert success_to_power(0.0, CH) == 0.0
@@ -81,6 +86,10 @@ class TestMapping:
             success_to_power(math.nan, CH)
         with pytest.raises(ValueError, match="success probabilities must lie"):
             expected_cost(_sys(T=2), CH, np.array([math.nan, 0.0]))
+        above = np.array([0.0, 0.9, math.nan])  # pi_max = exp(-1/3) < 0.9
+        with pytest.raises(ValueError,
+                           match=r"pi_max = .*\] \(slot t = 2 of T = 3 is 0\.9\)$"):
+            expected_cost(_sys(T=3), CH, above)
 
     def test_round_trip_grid(self):
         p = np.linspace(CH.p_max / 1000, CH.p_max, 1000)
@@ -117,6 +126,15 @@ class TestParamValidation:
         # exp(-1e-17) rounds to 1: the cap's power -theta/ln(pi_max) is not finite
         with pytest.raises(ValueError, match=r"theta/p_max = 1e-17 .* rounds to 1"):
             ChannelParams(gamma=1e-17, p_max=1.0)
+
+    @pytest.mark.parametrize("kw,ratio", [
+        (dict(gamma=3000.0), r"1000\.0"),  # exp(-1000) underflows to 0
+        (dict(gamma=1e308, sigma2=10.0, p_max=1e-300), "inf"),  # theta = inf
+    ])
+    def test_pi_max_must_stay_above_zero(self, kw, ratio):
+        # pi_max = 0 would make the cap's power -theta/ln(pi_max) 0
+        with pytest.raises(ValueError, match=rf"theta/p_max = {ratio} .* rounds to 0$"):
+            ChannelParams(**kw)
 
     @pytest.mark.parametrize("field", ["gamma", "sigma2", "gbar", "p_max"])
     def test_channel_invariants(self, field):
