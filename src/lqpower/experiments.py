@@ -57,15 +57,22 @@ _SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)
              if f.default_factory is not MISSING}
 
 
+def _number(value):
+    # float() and int() would take true as 1 and "2.5" as 2.5
+    if isinstance(value, (bool, str)):
+        raise TypeError("not a JSON number")
+    return value
+
+
 def _integer(value) -> int:
-    number = int(value)
+    number = int(_number(value))
     if isinstance(value, float) and number != value:
         raise ValueError("not an integer")  # int() would truncate it
     return number
 
 
 # JSON value -> field value, keyed by the field's annotation.
-_CASTS = {"float": float, "int": _integer, "str": str}
+_CASTS = {"float": lambda value: float(_number(value)), "int": _integer, "str": str}
 
 # Published parameter sets of the three reference figures, as changes to the
 # defaults.  fig2 is the perturbation-free study, fig3/fig4 switch to the

@@ -17,16 +17,17 @@ nonempty 1-d array, of length T where T applies, with each slot in
 The two recursions are O(T) loops over Python floats: the backward pass
 gives the tail factors, the forward pass the state second moments, and the
 cost follows from the second moments without a further pass.  Each pass is
-an in-place kernel over a start slot.  A table or cost that is no longer
-finite (an unstable plant over a long horizon) raises ValueError naming T
-and the slot where it overflowed.
+a kernel that takes a start slot and its start value and returns the run of
+Python floats from there; the tables are float64 arrays everywhere else, and
+a rerun from one slot writes its run into them by a slice assignment.  A
+table or cost that is no longer finite (an unstable plant over a long
+horizon) raises ValueError naming T and the slot where it overflowed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -37,8 +38,6 @@ __all__ = [
     "power_to_success",
     "success_to_power",
     "policy_to_success",
-    "validate_success_vector",
-    "validate_policy",
     "expected_cost",
     "backward_tables",
     "forward_second_moments",
@@ -207,16 +206,6 @@ def _checked(x, kind: str, ch: ChannelParams | None = None,
     return x
 
 
-def validate_policy(p: np.ndarray, ch: ChannelParams) -> None:
-    """Raise unless p is a nonempty 1-d policy with powers in [0, p_max]."""
-    _checked(p, "policy", ch)
-
-
-def validate_success_vector(pi: np.ndarray, ch: ChannelParams) -> None:
-    """Raise unless pi is a nonempty 1-d success vector in [0, pi_max]."""
-    _checked(pi, "success", ch)
-
-
 def _power(pi: np.ndarray, ch: ChannelParams) -> np.ndarray:
     """Transmit power -theta/ln pi_t implied by every pi_t, 0 where pi_t = 0."""
     power = np.zeros_like(pi)
@@ -266,57 +255,76 @@ def _total_cost(sys: SystemParams, pi: np.ndarray, ex2: np.ndarray, power) -> fl
     return cost
 
 
-def _backward(sys: SystemParams, pi: list, fbar: list, top: int) -> None:
-    """Rerun the backward recursion from slot top down to slot 0, in place."""
+def _backward(sys: SystemParams, pi: np.ndarray, f: float, top: int) -> list[float]:
+    """fbar[top], fbar[top-1], ..., fbar[0]: the backward recursion from
+    f = fbar[top+1]."""
     a2, c, q = float(sys.a**2), float(sys.closed_loop_coeff), float(sys.q)
     rk2 = float(sys.r * sys.k**2)
-    f = fbar[top + 1]
-    for t in range(top, -1, -1):
-        p = pi[t]
+    run = []
+    for p in pi[top::-1].tolist():
         f = (q + rk2 * p) + (a2 + c * p) * f
-        fbar[t] = f
+        run.append(f)
+    return run
 
 
-def _forward(sys: SystemParams, pi: list, ex2: list, bottom: int) -> None:
-    """Rerun the forward recursion from slot bottom to slot T-1, in place."""
+def _forward(sys: SystemParams, pi: np.ndarray, m: float, bottom: int) -> list[float]:
+    """ex2[bottom+1], ..., ex2[T-1]: the forward recursion from m = ex2[bottom]."""
     a2, c, sigma_d2 = float(sys.a**2), float(sys.closed_loop_coeff), float(sys.sigma_d2)
-    m = ex2[bottom]
-    for t in range(bottom + 1, len(ex2)):
-        m = (a2 + c * pi[t - 1]) * m + sigma_d2
-        ex2[t] = m
+    run = []
+    for p in pi[bottom:-1].tolist():
+        m = (a2 + c * p) * m + sigma_d2
+        run.append(m)
+    return run
 
 
-def _first_moment(ex2_1: float, T: int) -> list[float]:
-    if not 0 <= ex2_1 < math.inf:
-        raise ValueError(f"ex2_1 must be a finite number >= 0 (got {ex2_1})")
-    return [float(ex2_1)] * T
-
-
-def _check(tail: list | None, ex2: list | None) -> None:
+def _check(tail: np.ndarray | None, ex2: np.ndarray | None) -> None:
     """Raise naming where a tail table (fbar or fs) overflows at a nonzero moment
     (at any moment, without ex2) or, failing that, where a moment overflows."""
     # inf and nan carry through every later step: tail[0] and ex2[-1] tell
     if tail is not None and not math.isfinite(tail[0]):
-        t = next(t for t in range(len(tail) - 1, -1, -1) if not math.isfinite(tail[t]))
-        if ex2 is None or any(ex2[:t + 1]):
+        t = np.flatnonzero(~np.isfinite(tail))[-1]
+        if ex2 is None or ex2[:t + 1].any():
             raise ValueError(
                 f"tail factor is not finite at slot t = {t + 1} of T = {len(tail) - 1}")
     if ex2 is not None and not math.isfinite(ex2[-1]):
-        t = next(t for t, v in enumerate(ex2) if not math.isfinite(v))
+        t = np.flatnonzero(~np.isfinite(ex2))[0]
         raise ValueError(
             f"second moment E[x_t^2] is not finite at slot t = {t + 1} "
             f"of T = {len(ex2)}")
 
 
-def _update_tables(sys: SystemParams, pi: list, fbar: list, ex2: list, t: int) -> None:
+def _update_tables(sys: SystemParams, pi: np.ndarray, fbar: np.ndarray,
+                   ex2: np.ndarray, t: int) -> None:
     """Rerun the backward pass from slot t and the forward one from t, and check.
 
     After a change of pi_t alone this gives compute_tables's fbar and ex2
     bit for bit in T slot-steps.
     """
-    _backward(sys, pi, fbar, t)
-    _forward(sys, pi, ex2, t)
+    fbar[t::-1] = _backward(sys, pi, float(fbar[t + 1]), t)
+    ex2[t + 1:] = _forward(sys, pi, float(ex2[t]), t)
     _check(fbar, ex2)
+
+
+def _moments(sys: SystemParams, pi: np.ndarray, ex2_1: float) -> np.ndarray:
+    """ex2 over the whole horizon from E[x_1^2] = ex2_1, not yet checked for
+    overflow."""
+    if not 0 <= ex2_1 < math.inf:
+        raise ValueError(f"ex2_1 must be a finite number >= 0 (got {ex2_1})")
+    ex2 = np.empty(len(pi))
+    ex2[0] = ex2_1
+    ex2[1:] = _forward(sys, pi, float(ex2_1), 0)
+    return ex2
+
+
+def _tables(sys: SystemParams, pi: np.ndarray, ex2_1: float | None) -> RecursionTables:
+    """fbar and fs of a checked pi by the backward pass, ex2 by the forward
+    one unless ex2_1 is None, checked together."""
+    fbar = np.zeros(sys.T + 1)
+    fbar[sys.T - 1::-1] = _backward(sys, pi, 0.0, sys.T - 1)
+    ex2 = None if ex2_1 is None else _moments(sys, pi, ex2_1)
+    fs = np.cumsum(fbar[::-1])[::-1]  # sequential, as fs[t] = fbar[t] + fs[t+1]
+    _check(fs, ex2)
+    return RecursionTables(fbar=fbar, fs=fs, ex2=ex2)
 
 
 def forward_second_moments(
@@ -329,11 +337,9 @@ def forward_second_moments(
     same two products and two sums in the same order as over numpy scalars.
     Raises ValueError naming the first slot whose moment is not finite.
     """
-    pi = _checked(pi, "success")
-    ex2 = _first_moment(ex2_1, len(pi))
-    _forward(sys, pi.tolist(), ex2, 0)
+    ex2 = _moments(sys, _checked(pi, "success"), ex2_1)
     _check(None, ex2)
-    return np.array(ex2)
+    return ex2
 
 
 def backward_tables(
@@ -350,12 +356,7 @@ def backward_tables(
     Raises ValueError naming the slot where a tail factor first stops being
     finite.
     """
-    pi = _checked(pi, "success", ch, sys.T).tolist()
-    fbar = [0.0] * (sys.T + 1)
-    _backward(sys, pi, fbar, sys.T - 1)
-    fs = list(accumulate(reversed(fbar)))[::-1]
-    _check(fs, None)
-    return RecursionTables(fbar=np.array(fbar), fs=np.array(fs))
+    return _tables(sys, _checked(pi, "success", ch, sys.T), None)
 
 
 def compute_tables(
@@ -368,10 +369,4 @@ def compute_tables(
     a state that is 0 almost surely the tail factors can overflow and the
     cost stay finite.
     """
-    pi = _checked(pi, "success", ch, sys.T).tolist()
-    fbar, ex2 = [0.0] * (sys.T + 1), _first_moment(ex2_1, sys.T)
-    _backward(sys, pi, fbar, sys.T - 1)
-    _forward(sys, pi, ex2, 0)
-    fs = list(accumulate(reversed(fbar)))[::-1]
-    _check(fs, ex2)
-    return RecursionTables(fbar=np.array(fbar), fs=np.array(fs), ex2=np.array(ex2))
+    return _tables(sys, _checked(pi, "success", ch, sys.T), ex2_1)

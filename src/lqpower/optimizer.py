@@ -14,11 +14,14 @@ exact cost change against the incumbent's tables and adopts the best
 single-coordinate replacement, writing that one slot's power: the cost
 descends monotonically.  This is the only descent rule; optimize_policy is
 its one entry point.
-The incumbent's fbar and ex2 tables and exact cost carry over to the next
-iteration: adopting a move at slot t* reruns the backward pass from t* down
-to slot 0 and the forward pass from t* to T-1, T slot-steps bit-equal to
-full tables, plus O(T) array work.  The moved slot's pi comes from the same
-np.exp as policy_to_success and pi_max, so a move to the cap stays within it.
+The descent holds one incumbent: the policy, its pi and powers, its fbar
+and ex2 tables as float64 arrays, and its exact cost.  At the start the
+cost is expected_cost's and the tables take one backward and one forward
+pass of compute_tables.  Adopting a move at slot t* writes that slot and
+reruns, in place, the backward pass from t* down to slot 0 and the forward
+pass from t* to T-1: T slot-steps bit-equal to full tables, plus O(T) array
+work.  The moved slot's pi comes from the same np.exp as policy_to_success
+and pi_max, so a move to the cap stays within it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special._ufuncs import _lambertw
@@ -169,60 +171,60 @@ def slot_candidates(
     return np.stack([np.zeros_like(pi), v], 1), np.stack([d0, d1], 1)
 
 
-class _Incumbent(NamedTuple):
-    """A policy, its pi, _power(pi), fbar and ex2 tables (as lists) and exact cost."""
+@dataclass
+class _Incumbent:
+    """A policy, its pi, _power(pi), fbar and ex2 tables and exact cost."""
 
     policy: np.ndarray
     pi: np.ndarray
     power: np.ndarray
-    fbar: list[float]
-    ex2: list[float]
+    fbar: np.ndarray
+    ex2: np.ndarray
     cost: float
 
 
 def _incumbent(
-    sys: SystemParams, ch: ChannelParams, policy: np.ndarray, pi: np.ndarray,
-    ex2_1: float,
+    sys: SystemParams, ch: ChannelParams, policy: np.ndarray, ex2_1: float,
 ) -> _Incumbent:
-    """Tables of pi from one backward and one forward pass, and its cost."""
-    tab, power = compute_tables(sys, ch, pi, ex2_1), _power(pi, ch)
-    return _Incumbent(policy, pi, power, tab.fbar.tolist(), tab.ex2.tolist(),
-                      _total_cost(sys, pi, tab.ex2, power))
+    """A policy's pi, its expected_cost, and its tables from one backward and
+    one forward pass."""
+    pi = policy_to_success(policy, ch)
+    cost = expected_cost(sys, ch, pi, ex2_1)  # moments checked before tails
+    tab = compute_tables(sys, ch, pi, ex2_1)
+    return _Incumbent(policy, pi, _power(pi, ch), tab.fbar, tab.ex2, cost)
 
 
 def _step(sys: SystemParams, ch: ChannelParams, cfg: OptimizerConfig,
-          inc: _Incumbent) -> _Incumbent | None:
-    """The incumbent after the best single-coordinate replacement, if any.
+          inc: _Incumbent) -> bool:
+    """Move the incumbent by the best single-coordinate replacement, if any.
 
     Scores every slot's candidates by their exact cost change against the
     incumbent's tables.  Ties among modifications go to the smallest slot
-    index; None (a fixed point) unless the winner improves the cost by at
-    least cfg.eps_cost relative.  Only the winning slot t is written and
-    checked, and the tables rerun from it, T slot-steps in all.
+    index; returns False, leaving the incumbent as it is (a fixed point),
+    unless the winner improves the cost by at least cfg.eps_cost relative.
+    Only the winning slot t is written and checked, and the tables rerun
+    from it in place, T slot-steps in all.
     """
-    v, d0, d1 = _candidates(sys, ch, np.fromiter(inc.fbar, float),
-                            np.fromiter(inc.ex2, float), inc.pi, inc.power)
+    v, d0, d1 = _candidates(sys, ch, inc.fbar, inc.ex2, inc.pi, inc.power)
     slot_cost = inc.cost + np.minimum(d0, d1)
     # a later slot displaces the running winner only when strictly better
     # beyond the tie tolerance, so only a strict prefix minimum can
     later = np.flatnonzero(slot_cost[1:] < np.fmin.accumulate(slot_cost)[:-1]) + 1
     t, best_cost = 0, float(slot_cost[0])
     bar = best_cost - TIE_TOL * abs(best_cost)
-    for s, cost in zip(later.tolist(), slot_cost[later].tolist()):
+    for s, cost in zip(later, slot_cost[later]):
         if cost < bar:
             t, best_cost = s, cost
             bar = cost - TIE_TOL * abs(cost)
     if not best_cost < inc.cost - cfg.eps_cost * abs(inc.cost):
-        return None
+        return False
     p = success_to_power(float(v[t]) if d1[t] < d0[t] else 0.0, ch)  # silence wins ties
-    policy, pi, power = inc.policy.copy(), inc.pi.copy(), inc.power.copy()
     # policy_to_success's np.exp, as pi_max's: p <= p_max keeps pi <= pi_max
-    policy[t], pi[t] = p, (np.exp(-ch.theta / p) if p > 0 else 0.0)
-    power[t] = -ch.theta / np.log(pi[t]) if pi[t] > 0 else 0.0
-    fbar, ex2 = inc.fbar.copy(), inc.ex2.copy()
-    _update_tables(sys, pi.tolist(), fbar, ex2, t)
-    cost = _total_cost(sys, pi, np.fromiter(ex2, float), power)
-    return _Incumbent(policy, pi, power, fbar, ex2, cost)
+    inc.policy[t], inc.pi[t] = p, (np.exp(-ch.theta / p) if p > 0 else 0.0)
+    inc.power[t] = -ch.theta / np.log(inc.pi[t]) if inc.pi[t] > 0 else 0.0
+    _update_tables(sys, inc.pi, inc.fbar, inc.ex2, t)
+    inc.cost = _total_cost(sys, inc.pi, inc.ex2, inc.power)
+    return True
 
 
 def optimize_policy(
@@ -237,12 +239,12 @@ def optimize_policy(
     changes one slot, so k_max defaults to max(200, 10 T).  Stopping at
     k_max short of a fixed point emits a RuntimeWarning.
 
-    The incumbent's policy, success vector, tables and cost carry over from
-    one iteration to the next, so an adopted move at slot t* costs T
-    recursion slot-steps: the backward pass from t* down to 0 and the
-    forward pass from t* to T-1.  A converged policy is an exact
-    fixed point: no slot's candidate improves its cost by cfg.eps_cost
-    relative, whichever start the run took.
+    cost_history[0] is the start policy's expected_cost, and its tables
+    take one further backward and forward pass.  Each adopted move at
+    slot t* then updates the incumbent in place for T recursion slot-steps:
+    the backward pass from t* down to 0 and the forward pass from t* to T-1.
+    A converged policy is an exact fixed point: no slot's candidate improves
+    its cost by cfg.eps_cost relative, whichever start the run took.
     """
     k_max = max(200, 10 * sys.T) if cfg.k_max is None else cfg.k_max
     if cfg.init == "zero":
@@ -250,17 +252,12 @@ def optimize_policy(
     else:
         policy = np.full(sys.T, ch.p_max)
         policy[-1] = 0.0
-    ex2_1 = sys.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1
-    pi = policy_to_success(policy, ch)
-    history = [expected_cost(sys, ch, pi, ex2_1)]
-    inc = _incumbent(sys, ch, policy, pi, ex2_1)
+    inc = _incumbent(sys, ch, policy, sys.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1)
+    history = [inc.cost]
     converged = False
     iterations = 0
     for iterations in range(1, k_max + 1):
-        nxt = _step(sys, ch, cfg, inc)
-        converged = nxt is None
-        if not converged:
-            inc = nxt
+        converged = not _step(sys, ch, cfg, inc)
         history.append(inc.cost)
         if converged:
             break

@@ -31,7 +31,7 @@ from lqpower import (
     policy_to_success,
     success_to_power,
 )
-from lqpower.model import _power, validate_policy, validate_success_vector
+from lqpower.model import _checked, _power
 from lqpower.optimizer import TIE_TOL, _incumbent, _step
 
 # Largest horizon accepted by the enumeration oracle (2**T erasure patterns).
@@ -274,10 +274,8 @@ def coordinate_sweep(
     """
     policy = np.array(policy, dtype=float)
     ex2_1 = sys.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1
-    inc = _incumbent(sys, ch, policy, policy_to_success(policy, ch), ex2_1)
-    nxt = _step(sys, ch, cfg, inc)
-    if nxt is not None:
-        inc = nxt
+    inc = _incumbent(sys, ch, policy, ex2_1)
+    _step(sys, ch, cfg, inc)
     return inc.policy, inc.cost
 
 
@@ -327,7 +325,7 @@ def expected_cost_enumerated(
     (a + b k z_t).  Refuses horizons above MAX_ENUMERATION_HORIZON.
     """
     pi = np.asarray(pi, dtype=float)
-    validate_success_vector(pi, ch)
+    _checked(pi, "success", ch)
     if len(pi) != sys.T:
         raise ValueError(f"success vector has length {len(pi)}, expected T = {sys.T}")
     T = sys.T
@@ -439,7 +437,7 @@ def simulate_replication(
     if sim is None:
         sim = SimConfig()
     p = np.asarray(policy, dtype=float)
-    validate_policy(p, ch)
+    _checked(p, "policy", ch)
     T = sys.T
     if len(p) != T:
         raise ValueError(f"policy has length {len(p)}, expected T = {T}")
@@ -488,7 +486,7 @@ def reference_monte_carlo(
     and reads it column by column.  The chunk size is the library's.
     """
     p = np.asarray(policy, dtype=float)
-    validate_policy(p, ch)
+    _checked(p, "policy", ch)
     T = sys.T
     if len(p) != T:
         raise ValueError(f"policy has length {len(p)}, expected T = {T}")

@@ -61,6 +61,17 @@ class TestConfigLoading:
         assert getattr(getattr(cfg, section), key) == 12
         assert cfg.sim.n_samples == 1_000_000
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("sys", "T", True), ("sys", "a", True), ("sim", "seed", True),
+        ("ch", "p_max", "2.5")])
+    def test_numeric_fields_refuse_booleans_and_strings(
+            self, tmp_path, section, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        match = rf"bad value for {section}\.{key}: .*\(expected "
+        with pytest.raises(ConfigError, match=match):
+            load_config(path=path)
+
     def test_readme_shows_the_defaults(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme[readme.index("### Config file"):]

@@ -293,11 +293,10 @@ class TestPartialUpdate:
             tab = compute_tables(s, ch, pi, ex2_1)
             t = int(rng.integers(s.T))
             pi[t] = rng.choice([0.0, ch.pi_max, rng.uniform(0, ch.pi_max)])
-            fbar, ex2 = tab.fbar.tolist(), tab.ex2.tolist()
-            _update_tables(s, pi.tolist(), fbar, ex2, t)
+            _update_tables(s, pi, tab.fbar, tab.ex2, t)
             full = compute_tables(s, ch, pi, ex2_1)
-            assert fbar == full.fbar.tolist()
-            assert ex2 == full.ex2.tolist()
+            assert np.array_equal(tab.fbar, full.fbar)
+            assert np.array_equal(tab.ex2, full.ex2)
 
     @pytest.mark.parametrize("stable, t, ex2_1, q, match", [
         # the first stabilizing slot falls silent: E[x_t^2] ~ 9^t is just
@@ -317,7 +316,7 @@ class TestPartialUpdate:
         with pytest.raises(ValueError, match=match):
             compute_tables(s, ch, pi, ex2_1)
         with pytest.raises(ValueError, match=match):
-            _update_tables(s, pi.tolist(), tab.fbar.tolist(), tab.ex2.tolist(), t)
+            _update_tables(s, pi, tab.fbar, tab.ex2, t)
 
 
 class TestNonFiniteMoments:

@@ -350,10 +350,13 @@ class TestOptimizePolicy:
         assert trace.cost == expected_cost(cfg.sys, cfg.ch, pi, ex2_1)
 
     def test_overflowing_moments_raise(self):
-        # the plant's second moments pass 1.8e308 long before slot 700
+        # the plant's second moments pass 1.8e308 long before slot 700; its
+        # tail factors overflow too, from slot 377 down, and the start's
+        # cost names the moments first
         s = SystemParams(a=3.0, b=-1.0, k=1.8, q=1.0, r=0.5,
                          sigma_x2=1.0, sigma_d2=0.05, T=700)
-        with pytest.raises(ValueError, match=r"not finite at slot t = \d+ of T = 700"):
+        with pytest.raises(ValueError, match=r"^second moment E\[x_t\^2\] is not "
+                                             r"finite at slot t = 325 of T = 700$"):
             optimize_policy(s, CH, CFG)
 
     @pytest.mark.parametrize("k_max", [None, 5])
@@ -365,13 +368,15 @@ class TestOptimizePolicy:
         passes, cost_calls = [], []
         backward, forward, cost = model._backward, model._forward, optimizer.expected_cost
 
-        def counted_backward(sys, pi, fbar, top):
-            passes.append(("backward", top, top + 1))
-            backward(sys, pi, fbar, top)
+        def counted_backward(sys, pi, f, top):
+            run = backward(sys, pi, f, top)
+            passes.append(("backward", top, len(run)))
+            return run
 
-        def counted_forward(sys, pi, ex2, bottom):
-            passes.append(("forward", bottom, len(ex2) - 1 - bottom))
-            forward(sys, pi, ex2, bottom)
+        def counted_forward(sys, pi, m, bottom):
+            run = forward(sys, pi, m, bottom)
+            passes.append(("forward", bottom, len(run)))
+            return run
 
         def counted_cost(*args, **kwargs):
             cost_calls.append(1)
