@@ -20,6 +20,7 @@ from .model import (
 from .optimizer import (
     OptimizationTrace,
     OptimizerConfig,
+    optimize_policies,
     optimize_policy,
     slot_candidates,
     stationary_success,
@@ -49,6 +50,7 @@ __all__ = [
     "OptimizationTrace",
     "stationary_success",
     "slot_candidates",
+    "optimize_policies",
     "optimize_policy",
     "SimConfig",
     "SimReport",

@@ -2,8 +2,11 @@
 
 A single JSON document mirrors :class:`ExperimentConfig`; omitted fields take
 the defaults of the parameter dataclasses, and a named preset holds only the
-values of one reference figure that differ from those defaults.  Every
-workflow optimizes its scenarios through one loop, writes under
+values of one reference figure that differ from those defaults.  The
+workflows over many scenarios (sweep, compare, figure) optimize them
+through one loop, which runs their descents as one optimize_policies batch
+and hands the results on in input order; optimize and simulate run
+optimize_policy on their one scenario.  Every workflow writes under
 cfg.output_dir, and prints its CSV files through one writer: integers as
 they are, any other number with 17 significant digits so files round-trip
 exactly.
@@ -18,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import ChannelParams, SystemParams
-from .optimizer import OptimizerConfig, optimize_policy
+from .optimizer import OptimizerConfig, optimize_policies, optimize_policy
 from .simulator import SimConfig, baseline_policy, monte_carlo_cost, monte_carlo_costs
 
 __all__ = [
@@ -223,12 +226,24 @@ def _optimize_each(cfg: ExperimentConfig, overrides):
 
     An override maps field names to the values that differ from cfg:
     p_max is a channel field, every other name (T included) a plant field.
+    The scenarios descend together, in one optimize_policies batch, and
+    come out in input order, as one at a time would: an override that makes
+    no valid scenario, or a scenario whose descent overflows, raises its
+    ValueError once the scenarios before it have been yielded.
     """
+    scenarios, error = [], None
     for override in overrides:
         plant = {k: v for k, v in override.items() if k != "p_max"}
         channel = {k: v for k, v in override.items() if k == "p_max"}
-        sys_, ch = replace(cfg.sys, **plant), replace(cfg.ch, **channel)
-        yield sys_, ch, optimize_policy(sys_, ch, cfg.opt)
+        try:
+            scenarios.append((replace(cfg.sys, **plant), replace(cfg.ch, **channel)))
+        except ValueError as exc:
+            error = exc
+            break
+    for (sys_, ch), trace in zip(scenarios, optimize_policies(scenarios, cfg.opt)):
+        yield sys_, ch, trace
+    if error is not None:
+        raise error
 
 
 def _optimize_indexed(cfg: ExperimentConfig, header: str, scenarios) -> dict:
@@ -263,7 +278,7 @@ def _optimize_indexed(cfg: ExperimentConfig, header: str, scenarios) -> dict:
 def run_optimize(cfg: ExperimentConfig) -> dict:
     """Optimize the configured scenario; writes policy.csv and trace.csv."""
     out = Path(cfg.output_dir)
-    [(_, _, trace)] = _optimize_each(cfg, [{}])
+    trace = optimize_policy(cfg.sys, cfg.ch, cfg.opt)
     return {"trace": trace, "files": [
         _write_policy(out / "policy.csv", trace),
         _write_csv(out / "trace.csv", "iteration,cost", enumerate(trace.cost_history)),

@@ -12,22 +12,25 @@ slope is nonnegative even at its minimum has the minimizer 0 (silence).
 Each outer iteration scores the candidates of every slot at once by that
 exact cost change against the incumbent's tables and adopts the best
 single-coordinate replacement, writing that one slot's power: the cost
-descends monotonically.  This is the only descent rule; optimize_policy is
-its one entry point.
-The descent holds one incumbent: the policy, its pi and powers, its fbar
-and ex2 tables as float64 arrays, and its exact cost.  At the start the
-cost is expected_cost's and the tables take one backward and one forward
-pass of compute_tables.  Adopting a move at slot t* writes that slot and
-reruns, in place, the backward pass from t* down to slot 0 and the forward
-pass from t* to T-1: T slot-steps bit-equal to full tables, plus O(T) array
-work.  The moved slot's pi comes from the same np.exp as policy_to_success
-and pi_max, so a move to the cap stays within it.
+descends monotonically.  This is the only descent rule; optimize_policies
+runs it over many scenarios at once, and optimize_policy is its batch of one.
+A batch holds one incumbent per scenario as a row of (S, W) float64 tables,
+W the longest horizon: the policy, its pi and powers, its fbar and ex2
+tables, and beside them each row's exact cost.  At the start the cost is
+expected_cost's and the tables take one backward and one forward pass of
+compute_tables.  Each iteration scores all rows still descending with one
+set of array operations; then each row adopts its own move: writing slot
+t* reruns, in place on the row, the backward pass from t* down to slot 0
+and the forward pass from t* to T-1, T slot-steps bit-equal to full tables,
+plus O(T) array work.  The moved slot's pi comes from the same np.exp as
+policy_to_success and pi_max, so a move to the cap stays within it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +54,7 @@ __all__ = [
     "OptimizationTrace",
     "stationary_success",
     "slot_candidates",
+    "optimize_policies",
     "optimize_policy",
 ]
 
@@ -105,6 +109,17 @@ class OptimizationTrace:
         self.cost = float(self.cost_history[-1])
 
 
+def _root(A: np.ndarray, theta: np.ndarray, slope_e2, pi_max: np.ndarray) -> np.ndarray:
+    """stationary_success over slopes A, with theta, theta e^2/4 and pi_max
+    given per entry of A: the root in (e^-2, pi_max), NaN where there is none."""
+    roots = np.full(A.shape, np.nan)
+    # Lambert W's ufunc, unwrapped, only where the slope at e^-2 is negative
+    neg = A + slope_e2 < 0.0
+    pi0 = np.exp(2.0 * _lambertw(-0.5 * np.sqrt(-theta[neg] / A[neg]), 0, 1e-8).real)
+    roots[neg] = np.where(pi0 < pi_max[neg], pi0, np.nan)
+    return roots
+
+
 def stationary_success(
     A: float | np.ndarray, ch: ChannelParams
 ) -> float | np.ndarray | None:
@@ -119,30 +134,44 @@ def stationary_success(
     array with NaN where there is no root.
     """
     A = np.asarray(A, dtype=float)
-    roots = np.full(A.shape, np.nan)
-    # Lambert W's ufunc, unwrapped, only where the slope at e^-2 is negative
-    neg = A + ch.theta * math.e**2 / 4.0 < 0.0
-    pi0 = np.exp(2.0 * _lambertw(-0.5 * np.sqrt(-ch.theta / A[neg]), 0, 1e-8).real)
-    roots[neg] = np.where(pi0 < ch.pi_max, pi0, np.nan)
+    roots = _root(A, np.full(A.shape, ch.theta), ch.theta * math.e**2 / 4.0,
+                  np.full(A.shape, ch.pi_max))
     if roots.ndim:
         return roots
     return None if math.isnan(roots) else float(roots)
 
 
-def _candidates(sys, ch, fbar, ex2, pi, power) -> tuple[np.ndarray, ...]:
-    """Second candidate v of every slot, 0 where it does not descend, and the
-    exact cost changes d0, d1 of moving the slot alone to 0 and to v."""
-    tail = sys.r * sys.k**2 + sys.closed_loop_coeff * fbar[1:]
+def _constants(scenarios, W: int) -> tuple[np.ndarray, ...]:
+    """The scorer's per-scenario constants: r k^2, c = b^2 k^2 + 2abk and the
+    power's slope theta/(pi' ln^2 pi') at pi' = min(e^-2, pi_max) as (S, 1)
+    columns; theta, its slope theta e^2/4 at e^-2 exactly and pi_max as
+    (S, W) tables, for the entries a mask picks."""
+    rows = []
+    for sys, ch in scenarios:
+        theta, pi_max = ch.theta, ch.pi_max
+        pi_edge = min(_E_MINUS_2, pi_max)
+        rows.append((sys.r * sys.k**2, sys.closed_loop_coeff,
+                     theta / (pi_edge * math.log(pi_edge) ** 2),
+                     theta, theta * math.e**2 / 4.0, pi_max))
+    columns = np.array(rows).reshape(-1, 6).T[:, :, None]  # six (S, 1), even at S = 0
+    return (*columns[:3], *(np.repeat(col, W, axis=1) for col in columns[3:]))
+
+
+def _candidates(consts, fbar, ex2, pi, power) -> tuple[np.ndarray, ...]:
+    """Second candidate v of every slot of (S, W) tables, 0 where it does not
+    descend, and the exact cost changes d0, d1 of moving the slot alone to 0
+    and to v."""
+    rk2, c, slope_edge, theta, slope_e2, pi_max = consts
+    tail = rk2 + c * fbar[:, 1:]
     # a slot whose state is 0 almost surely moves no cost through it, even
     # where its tail factor has overflowed
     A = np.multiply(ex2, tail, out=np.zeros_like(tail), where=ex2 > 0.0)
-    pi_max = ch.pi_max  # one np.exp per read
-    pi_edge = min(_E_MINUS_2, pi_max)
-    down = np.flatnonzero(A + ch.theta / (pi_edge * math.log(pi_edge) ** 2) < 0.0)
+    down = A + slope_edge < 0.0
     d0 = 0.0 - pi * A - power  # +0.0, not -0.0, at a silent slot
     v, d1 = np.zeros_like(A), d0.copy()
-    v[down] = v_down = np.fmin(stationary_success(A[down], ch), pi_max)
-    d1[down] = (v_down - pi[down]) * A[down] - ch.theta / np.log(v_down) - power[down]
+    A_down, theta, pi_max = A[down], theta[down], pi_max[down]
+    v[down] = v_down = np.fmin(_root(A_down, theta, slope_e2[down], pi_max), pi_max)
+    d1[down] = (v_down - pi[down]) * A_down - theta / np.log(v_down) - power[down]
     return v, d0, d1
 
 
@@ -167,64 +196,175 @@ def slot_candidates(
     if tables.ex2 is None:
         raise ValueError("tables.ex2 missing: run the forward pass first")
     pi = np.asarray(pi, dtype=float)
-    v, d0, d1 = _candidates(sys, ch, tables.fbar, tables.ex2, pi, _power(pi, ch))
+    [v], [d0], [d1] = _candidates(_constants([(sys, ch)], len(pi)), tables.fbar[None],
+                                  tables.ex2[None], pi[None], _power(pi, ch)[None])
     return np.stack([np.zeros_like(pi), v], 1), np.stack([d0, d1], 1)
 
 
 @dataclass
 class _Incumbent:
-    """A policy, its pi, _power(pi), fbar and ex2 tables and exact cost."""
+    """One scenario's descent: its policy, pi, _power(pi), fbar and ex2 as
+    views of its batch row cut to its T, its exact cost and cost history."""
 
+    sys: SystemParams
+    ch: ChannelParams
+    k_max: int
     policy: np.ndarray
     pi: np.ndarray
     power: np.ndarray
     fbar: np.ndarray
     ex2: np.ndarray
     cost: float
+    history: list[float]
+
+    def trace(self, converged: bool) -> OptimizationTrace:
+        return OptimizationTrace(
+            policy=self.policy.copy(),
+            success=self.pi.copy(),
+            cost_history=np.asarray(self.history),
+            iterations=len(self.history) - 1,
+            converged=converged,
+        )
 
 
-def _incumbent(
-    sys: SystemParams, ch: ChannelParams, policy: np.ndarray, ex2_1: float,
-) -> _Incumbent:
-    """A policy's pi, its expected_cost, and its tables from one backward and
-    one forward pass."""
-    pi = policy_to_success(policy, ch)
-    cost = expected_cost(sys, ch, pi, ex2_1)  # moments checked before tails
-    tab = compute_tables(sys, ch, pi, ex2_1)
-    return _Incumbent(policy, pi, _power(pi, ch), tab.fbar, tab.ex2, cost)
+class _Batch:
+    """The incumbents of S scenarios, one row each of (S, W) tables.
 
-
-def _step(sys: SystemParams, ch: ChannelParams, cfg: OptimizerConfig,
-          inc: _Incumbent) -> bool:
-    """Move the incumbent by the best single-coordinate replacement, if any.
-
-    Scores every slot's candidates by their exact cost change against the
-    incumbent's tables.  Ties among modifications go to the smallest slot
-    index; returns False, leaving the incumbent as it is (a fixed point),
-    unless the winner improves the cost by at least cfg.eps_cost relative.
-    Only the winning slot t is written and checked, and the tables rerun
-    from it in place, T slot-steps in all.
+    W is the longest horizon.  Slots past a row's T, and every slot of a row
+    that has left, hold ex2 = fbar = 0 and power -inf: A is 0 there, so they
+    never descend, and d0 = 0 - pi A - power = +inf keeps them out of the
+    scan.  outcomes[i] is row i's trace once it has left at a fixed point or
+    at its k_max, or the ValueError it raised; None while it descends.
     """
-    v, d0, d1 = _candidates(sys, ch, inc.fbar, inc.ex2, inc.pi, inc.power)
-    slot_cost = inc.cost + np.minimum(d0, d1)
-    # a later slot displaces the running winner only when strictly better
-    # beyond the tie tolerance, so only a strict prefix minimum can
-    later = np.flatnonzero(slot_cost[1:] < np.fmin.accumulate(slot_cost)[:-1]) + 1
-    t, best_cost = 0, float(slot_cost[0])
-    bar = best_cost - TIE_TOL * abs(best_cost)
-    for s, cost in zip(later, slot_cost[later]):
-        if cost < bar:
-            t, best_cost = s, cost
-            bar = cost - TIE_TOL * abs(cost)
-    if not best_cost < inc.cost - cfg.eps_cost * abs(inc.cost):
-        return False
-    p = success_to_power(float(v[t]) if d1[t] < d0[t] else 0.0, ch)  # silence wins ties
-    # policy_to_success's np.exp, as pi_max's: p <= p_max keeps pi <= pi_max
-    inc.policy[t], inc.pi[t] = p, (np.exp(-ch.theta / p) if p > 0 else 0.0)
-    inc.power[t] = -ch.theta / np.log(inc.pi[t]) if inc.pi[t] > 0 else 0.0
-    _update_tables(sys, inc.pi, inc.fbar, inc.ex2, t)
-    inc.cost = _total_cost(sys, inc.pi, inc.ex2, inc.power)
-    return True
+
+    def __init__(self, scenarios, policies, cfg: OptimizerConfig):
+        S, W = len(scenarios), max((sys.T for sys, _ in scenarios), default=0)
+        self.eps_cost = cfg.eps_cost
+        self.consts = _constants(scenarios, W)
+        self.policy, self.pi, self.ex2 = np.zeros((S, W)), np.zeros((S, W)), np.zeros((S, W))
+        self.power, self.fbar = np.full((S, W), -np.inf), np.zeros((S, W + 1))
+        self.cost = np.zeros((S, 1))
+        self.rows: list[_Incumbent | None] = [None] * S
+        self.outcomes: list[OptimizationTrace | ValueError | None] = [None] * S
+        self.active = []
+        for i, ((sys, ch), policy) in enumerate(zip(scenarios, policies)):
+            ex2_1 = sys.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1
+            k_max = max(200, 10 * sys.T) if cfg.k_max is None else cfg.k_max
+            try:
+                pi = policy_to_success(policy, ch)
+                cost = expected_cost(sys, ch, pi, ex2_1)  # moments checked before tails
+                tab = compute_tables(sys, ch, pi, ex2_1)
+            except ValueError as exc:
+                self.outcomes[i] = exc
+                continue
+            T = sys.T
+            row = _Incumbent(sys, ch, k_max, self.policy[i, :T], self.pi[i, :T],
+                             self.power[i, :T], self.fbar[i, :T + 1], self.ex2[i, :T],
+                             cost, [cost])
+            row.policy[:], row.pi[:], row.power[:] = policy, pi, _power(pi, ch)
+            row.fbar[:], row.ex2[:] = tab.fbar, tab.ex2
+            self.cost[i] = cost
+            self.rows[i] = row
+            self.active.append(i)
+
+    def _leave(self, i: int, outcome) -> None:
+        """Row i leaves with its outcome; its tables stop taking part."""
+        self.outcomes[i] = outcome
+        self.fbar[i], self.ex2[i], self.power[i] = 0.0, 0.0, -np.inf
+
+    def step(self) -> None:
+        """Move every active row by its best single-coordinate replacement, if any.
+
+        Scores every slot's candidates by their exact cost change against
+        its row's tables, all rows at once.  Ties among a row's modifications
+        go to the smallest slot index; a row leaves, converged, at a fixed
+        point, where its winner does not improve its cost by at least
+        cfg.eps_cost relative.  Otherwise only the winning slot t is written and
+        checked, and the row's tables rerun from it in place, T slot-steps
+        in all; a row leaves unconverged at its k_max.
+        """
+        v, d0, d1 = _candidates(self.consts, self.fbar, self.ex2, self.pi, self.power)
+        slot_cost = self.cost + np.minimum(d0, d1)
+        # a later slot displaces the running winner only when strictly better
+        # beyond the tie tolerance, so only a strict prefix minimum can
+        rows, later = np.nonzero(
+            slot_cost[:, 1:] < np.fmin.accumulate(slot_cost, axis=1)[:, :-1])
+        later += 1
+        later_cost = slot_cost[rows, later].tolist()
+        rows, later, first = rows.tolist(), later.tolist(), slot_cost[:, 0].tolist()
+        j, n, active = 0, len(rows), []
+        for i in self.active:
+            row = self.rows[i]
+            t, best_cost = 0, first[i]
+            bar = best_cost - TIE_TOL * abs(best_cost)
+            while j < n and rows[j] == i:
+                if later_cost[j] < bar:
+                    t, best_cost = later[j], later_cost[j]
+                    bar = best_cost - TIE_TOL * abs(best_cost)
+                j += 1
+            if not best_cost < row.cost - self.eps_cost * abs(row.cost):
+                row.history.append(row.cost)
+                self._leave(i, row.trace(True))
+                continue
+            ch = row.ch
+            p = success_to_power(float(v[i, t]) if d1[i, t] < d0[i, t] else 0.0, ch)
+            # policy_to_success's np.exp, as pi_max's: p <= p_max keeps pi <= pi_max
+            row.policy[t], row.pi[t] = p, (np.exp(-ch.theta / p) if p > 0 else 0.0)
+            row.power[t] = -ch.theta / np.log(row.pi[t]) if row.pi[t] > 0 else 0.0
+            try:
+                _update_tables(row.sys, row.pi, row.fbar, row.ex2, t)
+                row.cost = _total_cost(row.sys, row.pi, row.ex2, row.power)
+            except ValueError as exc:
+                self._leave(i, exc)
+                continue
+            row.history.append(row.cost)
+            self.cost[i] = row.cost
+            if len(row.history) > row.k_max:
+                self._leave(i, row.trace(False))
+            else:
+                active.append(i)
+        self.active = active
+
+
+def _delivered(outcomes):
+    """The traces in order, warning for each that stopped at its k_max, up to
+    the first ValueError, which is raised."""
+    for outcome in outcomes:
+        if isinstance(outcome, ValueError):
+            raise outcome
+        if not outcome.converged:  # it stopped at k_max = its iterations
+            warnings.warn(
+                f"optimizer stopped after {outcome.iterations} iterations at "
+                f"k_max = {outcome.iterations} without reaching a fixed point "
+                f"(T = {len(outcome.policy)})",
+                RuntimeWarning, stacklevel=2)
+        yield outcome
+
+
+def optimize_policies(
+    scenarios: Iterable[tuple[SystemParams, ChannelParams]], cfg: OptimizerConfig
+) -> Iterator[OptimizationTrace]:
+    """Run the full iterative improvement of many scenarios as one batch.
+
+    scenarios holds (sys, ch) pairs.  Every scenario runs optimize_policy's
+    descent, bit for bit, but each iteration scores the candidates of all
+    scenarios still descending in one set of array operations.  The whole
+    batch runs before this returns; the iterator then yields the traces in
+    input order, emits a scenario's k_max warning as it yields its trace,
+    and raises the ValueError of the first scenario (in input order) whose
+    moments, tail factors or cost overflowed when it reaches it, as
+    optimize_policy called on each scenario in turn would.
+    """
+    scenarios = list(scenarios)
+    policies = []
+    for sys, ch in scenarios:
+        policy = np.zeros(sys.T) if cfg.init == "zero" else np.full(sys.T, ch.p_max)
+        policy[-1] = 0.0
+        policies.append(policy)
+    batch = _Batch(scenarios, policies, cfg)
+    while batch.active:
+        batch.step()
+    return _delivered(batch.outcomes)
 
 
 def optimize_policy(
@@ -244,32 +384,8 @@ def optimize_policy(
     slot t* then updates the incumbent in place for T recursion slot-steps:
     the backward pass from t* down to 0 and the forward pass from t* to T-1.
     A converged policy is an exact fixed point: no slot's candidate improves
-    its cost by cfg.eps_cost relative, whichever start the run took.
+    its cost by cfg.eps_cost relative, whichever start the run took.  This
+    is optimize_policies over one scenario.
     """
-    k_max = max(200, 10 * sys.T) if cfg.k_max is None else cfg.k_max
-    if cfg.init == "zero":
-        policy = np.zeros(sys.T)
-    else:
-        policy = np.full(sys.T, ch.p_max)
-        policy[-1] = 0.0
-    inc = _incumbent(sys, ch, policy, sys.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1)
-    history = [inc.cost]
-    converged = False
-    iterations = 0
-    for iterations in range(1, k_max + 1):
-        converged = not _step(sys, ch, cfg, inc)
-        history.append(inc.cost)
-        if converged:
-            break
-    if not converged:
-        warnings.warn(
-            f"optimizer stopped after {iterations} iterations at k_max = {k_max} "
-            f"without reaching a fixed point (T = {sys.T})",
-            RuntimeWarning, stacklevel=2)
-    return OptimizationTrace(
-        policy=inc.policy,
-        success=inc.pi,
-        cost_history=np.asarray(history),
-        iterations=iterations,
-        converged=converged,
-    )
+    [trace] = optimize_policies([(sys, ch)], cfg)
+    return trace

@@ -32,7 +32,7 @@ from lqpower import (
     success_to_power,
 )
 from lqpower.model import _checked, _power
-from lqpower.optimizer import TIE_TOL, _incumbent, _step
+from lqpower.optimizer import TIE_TOL, _Batch
 
 # Largest horizon accepted by the enumeration oracle (2**T erasure patterns).
 MAX_ENUMERATION_HORIZON = 14
@@ -272,11 +272,13 @@ def coordinate_sweep(
     incumbent itself at a fixed point.  Returns the policy and its exact
     cost; a converged policy comes back unchanged.
     """
-    policy = np.array(policy, dtype=float)
-    ex2_1 = sys.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1
-    inc = _incumbent(sys, ch, policy, ex2_1)
-    _step(sys, ch, cfg, inc)
-    return inc.policy, inc.cost
+    batch = _Batch([(sys, ch)], [np.array(policy, dtype=float)], cfg)
+    if batch.active:
+        batch.step()
+    [row], [outcome] = batch.rows, batch.outcomes
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return row.policy.copy(), row.cost
 
 
 def cost_slope(

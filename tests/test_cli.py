@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lqpower import optimizer
 from lqpower.cli import main
 from lqpower.experiments import (
     ConfigError,
@@ -346,6 +347,61 @@ class TestSweepCommand:
         header, rows = _read_csv(tmp_path / "index.csv")
         assert header[0] == "q"
         assert rows == []
+
+
+class TestSweepFailures:
+    """The values of a sweep descend together but report as one at a time:
+    one k_max warning per value that stops short, in input order, up to the
+    first value that fails, whose error ends the run; the values before it
+    write their policy files, and no index.csv is written."""
+
+    K_MAX_WARNING = ("warning: optimizer stopped after 3 iterations at k_max = 3 "
+                     "without reaching a fixed point (T = 30)")
+
+    def _sweep(self, tmp_path, param, values, out="out"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"preset": "fig2", "opt": {"k_max": 3}}))
+        return main(["sweep", "--config", str(cfg), "--param", param,
+                     "--values", values, "--out", str(tmp_path / out)])
+
+    def _files(self, out):
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def test_overflow_at_the_start(self, tmp_path, capsys):
+        assert self._sweep(tmp_path, "a", "1.1,1.05,1e10,1.2") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            self.K_MAX_WARNING, self.K_MAX_WARNING,
+            "error: second moment E[x_t^2] is not finite at slot t = 17 of T = 30"]
+        assert self._sweep(tmp_path, "a", "1.1,1.05", out="ref") == 0
+        ref = self._files(tmp_path / "ref")
+        del ref["index.csv"]
+        assert self._files(tmp_path / "out") == ref
+
+    def test_overflow_mid_descent(self, tmp_path, capsys, monkeypatch):
+        # q = 3 fails at its first move, before q = 2 fails at its second,
+        # but q = 2 comes first in input order
+        update, moves = optimizer._update_tables, {}
+
+        def failing(sys, pi, fbar, ex2, t):
+            moves[sys.q] = moves.get(sys.q, 0) + 1
+            if (sys.q, moves[sys.q]) in ((2.0, 2), (3.0, 1)):
+                raise ValueError(f"tail factor overflow at q = {sys.q:g}")
+            update(sys, pi, fbar, ex2, t)
+
+        monkeypatch.setattr(optimizer, "_update_tables", failing)
+        assert self._sweep(tmp_path, "q", "1,2,3") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            self.K_MAX_WARNING, "error: tail factor overflow at q = 2"]
+        monkeypatch.undo()
+        assert self._sweep(tmp_path, "q", "1", out="ref") == 0
+        assert self._files(tmp_path / "out") == {
+            "policy_q_1.csv": (tmp_path / "ref" / "policy_q_1.csv").read_bytes()}
+
+    def test_invalid_value(self, tmp_path, capsys):
+        assert self._sweep(tmp_path, "q", "1,-1,2") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            self.K_MAX_WARNING, "error: sys.q must be > 0 (got -1.0)"]
+        assert list(self._files(tmp_path / "out")) == ["policy_q_1.csv"]
 
 
 class TestFigureCommand:

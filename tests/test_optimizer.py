@@ -13,6 +13,7 @@ from lqpower import (
     baseline_policy,
     compute_tables,
     expected_cost,
+    optimize_policies,
     optimize_policy,
     policy_to_success,
     slot_candidates,
@@ -592,3 +593,85 @@ class TestTrajectoryMatchesReferenceSweep:
             cfg = OptimizerConfig(init="full" if i % 4 == 3 else "zero",
                                   ex2_1=None if i % 3 else float(rng.uniform(0, 2)))
             _assert_same_trajectory(s, ch, cfg)
+
+
+def _assert_same_traces(traces, expected):
+    assert len(traces) == len(expected)
+    for trace, ref in zip(traces, expected):
+        assert np.array_equal(trace.policy, ref.policy)
+        assert np.array_equal(trace.success, ref.success)
+        assert np.array_equal(trace.cost_history, ref.cost_history)
+        assert (trace.iterations, trace.converged) == (ref.iterations, ref.converged)
+
+
+def _figure_scenarios(figure):
+    """The scenarios of one reference figure and the preset's optimizer config."""
+    cfg = load_config(preset=figure)
+    if figure == "fig2":
+        scenarios = [(replace(cfg.sys, **{k: v for k, v in over.items() if k != "p_max"}),
+                      replace(cfg.ch, **{k: v for k, v in over.items() if k == "p_max"}))
+                     for over in FIG2_VARIANTS.values()]
+    elif figure == "fig3":
+        scenarios = [(replace(cfg.sys, sigma_d2=v), cfg.ch) for v in FIG3_SIGMA_D2_VALUES]
+    else:
+        scenarios = [(replace(cfg.sys, T=T), cfg.ch) for T in FIG4_HORIZONS]
+    return scenarios, cfg.opt
+
+
+class TestOptimizePolicies:
+    """A batch runs each scenario's descent as optimize_policy runs it alone."""
+
+    @pytest.mark.parametrize("figure", ["fig2", "fig3", "fig4"])
+    def test_batch_equals_singles_on_the_figures(self, figure):
+        scenarios, cfg = _figure_scenarios(figure)
+        _assert_same_traces(list(optimize_policies(scenarios, cfg)),
+                            [optimize_policy(s, ch, cfg) for s, ch in scenarios])
+
+    def test_empty_batch(self):
+        assert list(optimize_policies([], CFG)) == []
+
+    def test_first_failure_in_input_order_raises_after_the_rows_before_it(self):
+        # the T = 700 row overflows at its start; the rows before it yield
+        # their traces (and k_max warnings), the rows after it nothing
+        bad = SystemParams(a=3.0, b=-1.0, k=1.8, q=1.0, r=0.5,
+                           sigma_x2=1.0, sigma_d2=0.05, T=700)
+        cfg = replace(CFG, k_max=3)
+        scenarios = [(NOMINAL, CH), (replace(NOMINAL, T=1), CH), (bad, CH), (NOMINAL, CH)]
+        traces = optimize_policies(scenarios, cfg)
+        with pytest.warns(RuntimeWarning, match="k_max = 3") as caught:
+            first = next(traces)
+        assert len(caught) == 1 and first.iterations == 3 and not first.converged
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert next(traces).converged
+            with pytest.raises(ValueError, match=r"^second moment E\[x_t\^2\] is not "
+                                                 r"finite at slot t = 325 of T = 700$"):
+                next(traces)
+
+
+@st.composite
+def _batches(draw):
+    """A few scenarios of mixed horizons and one optimizer config, its k_max
+    often small enough to stop some rows short."""
+    drawn = draw(st.lists(_scenarios(t_max=12), min_size=1, max_size=5))
+    cfg = replace(drawn[0][2], k_max=draw(st.none() | st.integers(1, 8)))
+    return [(s, ch) for s, ch, _ in drawn], cfg
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_batches())
+@example(([(replace(NOMINAL, T=1), CH),
+           (replace(NOMINAL, sigma_d2=0.0, T=12), ChannelParams(p_max=0.4)),
+           (replace(NOMINAL, k=1.8, sigma_d2=0.05, T=9), CH)],
+          OptimizerConfig(init="full", k_max=5, ex2_1=1.0)))
+def test_batch_equals_singles(batch):
+    # traces and k_max warnings alike, in input order
+    scenarios, cfg = batch
+    with warnings.catch_warnings(record=True) as batched:
+        warnings.simplefilter("always")
+        traces = list(optimize_policies(scenarios, cfg))
+    with warnings.catch_warnings(record=True) as singly:
+        warnings.simplefilter("always")
+        singles = [optimize_policy(s, ch, cfg) for s, ch in scenarios]
+    _assert_same_traces(traces, singles)
+    assert [str(w.message) for w in batched] == [str(w.message) for w in singly]
