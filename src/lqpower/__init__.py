@@ -29,6 +29,7 @@ from .simulator import (
     SimConfig,
     SimReport,
     baseline_policy,
+    monte_carlo_batch,
     monte_carlo_cost,
     monte_carlo_costs,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "SimReport",
     "monte_carlo_cost",
     "monte_carlo_costs",
+    "monte_carlo_batch",
     "baseline_policy",
     "__version__",
 ]

@@ -80,13 +80,18 @@ def _parse_horizons(spec: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
+        try:
+            bounds = [int(v) for v in part.split(":", 1)]
+        except ValueError:
+            raise exp.ConfigError(
+                f"bad horizon {part!r} in {spec!r} (expected T or lo:hi)") from None
         if ":" in part:
-            lo, hi = (int(v) for v in part.split(":", 1))
+            lo, hi = bounds
             if hi < lo:
                 raise exp.ConfigError(f"empty horizon range {part!r} (hi < lo)")
             out.extend(range(lo, hi + 1))
         else:
-            out.append(int(part))
+            out.extend(bounds)
     if not out:
         raise exp.ConfigError(f"no horizons in {spec!r}")
     return out

@@ -22,7 +22,7 @@ import numpy as np
 
 from .model import ChannelParams, SystemParams
 from .optimizer import OptimizerConfig, optimize_policies, optimize_policy
-from .simulator import SimConfig, baseline_policy, monte_carlo_cost, monte_carlo_costs
+from .simulator import SimConfig, baseline_policy, monte_carlo_batch, monte_carlo_cost
 
 __all__ = [
     "ExperimentConfig",
@@ -306,29 +306,33 @@ def run_simulate(cfg: ExperimentConfig) -> dict:
 def run_compare(cfg: ExperimentConfig, horizons) -> dict:
     """Optimize and Monte Carlo-evaluate proposed vs full-power vs open-loop.
 
-    The three policies of a horizon share one Monte Carlo rollout and one
-    set of draws (common random numbers), so the comparison is deterministic
+    Every policy of every horizon shares one Monte Carlo rollout and one set
+    of draws (common random numbers), so the comparison is deterministic
     given the config and each policy's statistics are those it gets alone.
-    Writes comparison.csv.
+    The first failure in horizon order is raised, whether the descent or
+    the Monte Carlo of its horizon failed.  Writes comparison.csv.
     """
     horizons = [int(T) for T in horizons]
     for T in horizons:
         if T < 1:
             raise ConfigError(f"horizon values must be >= 1 (got {T})")
-    rows = []
-    results = []
-    for T, (sys_T, ch, trace) in zip(
-            horizons, _optimize_each(cfg, [{"T": T} for T in horizons])):
-        policies = {
-            "proposed": trace.policy,
-            "full": baseline_policy("full_power", ch, T),
-            "open": baseline_policy("open_loop", ch, T),
-        }
-        reports = dict(zip(policies, monte_carlo_costs(
-            sys_T, ch, list(policies.values()), cfg.sim)))
+    runs, traces, error = [], [], None
+    try:
+        for sys_T, ch, trace in _optimize_each(cfg, [{"T": T} for T in horizons]):
+            runs.append((sys_T, ch, [trace.policy,
+                                     baseline_policy("full_power", ch, sys_T.T),
+                                     baseline_policy("open_loop", ch, sys_T.T)]))
+            traces.append(trace)
+    except ValueError as exc:   # the horizons before it still simulate, and fail first
+        error = exc
+    rows, results = [], []
+    for T, trace, reports in zip(horizons, traces, monte_carlo_batch(runs, cfg.sim)):
+        reports = dict(zip(("proposed", "full", "open"), reports))
         rows.append([T, *(x for rep in reports.values()
                           for x in (rep.mean_cost, rep.std_err))])
         results.append((T, trace, reports))
+    if error is not None:
+        raise error
     path = _write_csv(
         Path(cfg.output_dir) / "comparison.csv",
         "T,cost_proposed,se_proposed,cost_full,se_full,cost_open,se_open",

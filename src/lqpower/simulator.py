@@ -16,12 +16,17 @@ every replication in the chunk) when a slot reads it, and only the columns
 that are read; the perturbation of the last slot only moves the state past
 the horizon and is never drawn.  Several policies compared with common
 random numbers share one rollout and one set of draws: each column is made
-once per chunk and every policy advances its own state over it.
+once per chunk and every policy advances its own state over it.  Scenarios
+simulated together (the horizons of a compare) also share their Gaussian
+columns, the initial state and the perturbations, since those depend on
+(seed, i, j) alone: each is made once per chunk, and a chunk holds a column
+only until the last scenario that reads it has.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +39,7 @@ __all__ = [
     "SimReport",
     "monte_carlo_cost",
     "monte_carlo_costs",
+    "monte_carlo_batch",
     "baseline_policy",
 ]
 
@@ -73,8 +79,10 @@ class SimConfig:
             raise ValueError(
                 f"sim.initial_state must be one of {_INITIAL_STATES} "
                 f"(got {self.initial_state!r})")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"sim.seed must be an integer (got {self.seed!r})")
+        if not (isinstance(self.seed, (int, np.integer))
+                and 0 <= int(self.seed) <= _U64_MASK):
+            raise ValueError(
+                f"sim.seed must be an integer in [0, 2**64 - 1] (got {self.seed!r})")
         if not math.isfinite(self.x1):
             raise ValueError(f"sim.x1 must be finite (got {self.x1})")
 
@@ -112,8 +120,8 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def _stream_keys(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Well-mixed 64-bit key of each replication stream."""
-    s = _U64(int(seed) & _U64_MASK)
+    """Well-mixed 64-bit key of each replication stream; seed is a u64."""
+    s = _U64(int(seed))
     return _mix64(s + (indices.astype(_U64) + _U64(1)) * _GOLDEN)
 
 
@@ -135,6 +143,237 @@ def _uniform_column(keys: np.ndarray, j: int) -> np.ndarray:
 # Rollout
 # ----------------------------------------------------------------------------
 
+def _normal_column(keys: np.ndarray, j: int) -> np.ndarray:
+    """Draw j of every stream in `keys` as a standard normal (exact inverse CDF)."""
+    return ndtri(_uniform_column(keys, j))
+
+
+class _Normals:
+    """The normal columns of one chunk, each made once for all its readers.
+
+    `readers` counts, per column j, the reads the chunk's scenarios will
+    make of it.  A column is made at its first read and held only until its
+    last reader takes it; only that last reader may write into it.
+    """
+
+    def __init__(self, keys: np.ndarray, readers: Counter):
+        self.keys = keys
+        self.left = readers
+        self.held = {}
+
+    def take(self, j: int) -> tuple[np.ndarray, bool]:
+        """Column j, and whether the caller is its last reader."""
+        column = self.held.pop(j, None)
+        if column is None:
+            column = _normal_column(self.keys, j)
+        self.left[j] -= 1
+        last = self.left[j] == 0
+        if not last:
+            self.held[j] = column
+        return column, last
+
+
+class _Scenario:
+    """One scenario's policies, the normal columns it reads, and the running
+    moments of each policy's cost.  Validates the policies."""
+
+    def __init__(self, sys: SystemParams, ch: ChannelParams, policies,
+                 sim: SimConfig, return_samples: bool):
+        T = sys.T
+        self.ps, self.pis = [], []
+        for i, policy in enumerate(policies):
+            p = np.asarray(policy, dtype=float)
+            pi = policy_to_success(p, ch)  # validates p
+            if len(p) != T:
+                raise ValueError(
+                    f"policy {i} has length {len(p)}, expected T = {T}")
+            self.ps.append(p)
+            self.pis.append(pi)
+        m = len(self.ps)
+        self.sys, self.ch = sys, ch
+        # pi_t = 0 receives nothing on either channel model (a gain-threshold
+        # reception would need -ln u >= theta/p_t > 745, and -ln u <= 54 ln 2),
+        # so a slot in which no policy sends draws no channel
+        self.sending = [any(pi[t] > 0.0 for pi in self.pis) for t in range(T)]
+        self.sigma_d = math.sqrt(sys.sigma_d2)
+        self.sigma_x = math.sqrt(sys.sigma_x2)
+        # the normal columns read per chunk: x1, then the perturbations of
+        # slots 1..T-1 (the last one only moves the state past the horizon)
+        self.normal_draws = [
+            *([0] if sim.initial_state == "gaussian" else []),
+            *(range(T + 1, 2 * T) if self.sigma_d > 0 else []),
+        ]
+        self.return_samples = return_samples
+        self.failure = None
+        self.count = 0
+        self.mean = [0.0] * m
+        self.m2 = [0.0] * m
+        self.state_sum = np.zeros((m, T))
+        self.input_sum = np.zeros((m, T))
+        self.all_samples = [[] for _ in range(m)]
+
+    def merge(self, costs: list[np.ndarray]) -> None:
+        """Merge one chunk's costs into the running moments (parallel
+        mean/variance combination)."""
+        count, mean, m2 = self.count, self.mean, self.m2
+        size = len(costs[0])
+        total = count + size
+        for k, cost in enumerate(costs):
+            c_mean = float(cost.mean())
+            c_m2 = float(np.sum((cost - c_mean) ** 2))
+            delta = c_mean - mean[k]
+            mean[k] += delta * size / total
+            m2[k] += c_m2 + delta**2 * count * size / total
+            if self.return_samples:
+                self.all_samples[k].append(cost)
+        self.count = total
+
+    def reports(self) -> list[SimReport]:
+        """One report per policy; raises the scenario's failure, if any."""
+        if self.failure is not None:
+            raise self.failure
+        T, count = self.sys.T, self.count
+        reports = []
+        for k, p in enumerate(self.ps):
+            std_err = (math.sqrt(self.m2[k] / (count - 1)) / math.sqrt(count)
+                       if count > 1 else 0.0)
+            per_slot = np.column_stack(
+                [self.state_sum[k] / count, self.input_sum[k] / count, p])
+            if not (math.isfinite(self.mean[k]) and math.isfinite(std_err)
+                    and np.isfinite(per_slot).all()):
+                raise ValueError(
+                    f"Monte Carlo cost statistics are not finite (T = {T}, "
+                    f"policy {k}): a state or a cost overflowed")
+            reports.append(SimReport(
+                mean_cost=self.mean[k],
+                std_err=std_err,
+                per_slot=per_slot,
+                n_samples=count,
+                std_err_valid=count > 1,
+                samples=(np.concatenate(self.all_samples[k])
+                         if self.return_samples else None),
+            ))
+        return reports
+
+
+def monte_carlo_batch(runs, sim: SimConfig,
+                      return_samples: bool = False) -> list[list[SimReport]]:
+    """Average `sim.n_samples` replications of each policy of each scenario.
+
+    `runs` holds (sys, ch, policies) triples; the result holds one list of
+    reports per triple, one report per policy.  All of them share one
+    rollout over common draws.  Replication i reads draw j of its stream
+    (seed, i) in a fixed layout: j = 0 is the initial state, j = 1..T the
+    channels of slots 1..T and j = T+1..2T their perturbations.  A draw
+    that is not read is skipped, never shifted onto another: a fixed
+    initial state, sigma_d2 = 0, a slot in which no policy of the scenario
+    sends, and the last perturbation, which only moves the state past the
+    horizon.  So each replication's cost depends only on (seed, i), not on
+    n_samples, the chunking or the other scenarios.
+
+    Per chunk of replications, each scenario in turn advances its policies
+    over the chunk.  A scenario makes its own channel columns, once for all
+    its policies.  A normal column (the initial state or a perturbation)
+    depends only on (seed, i, j), so it is made once per chunk for every
+    scenario that reads it, and held only until the last of them has: a
+    compare over horizons reads perturbation j at every horizon T with
+    T < j < 2T.  Each report is bit for bit the one its policy gets alone,
+    since a policy's arithmetic does not depend on the others.  Chunks'
+    moments are merged by the parallel mean/variance combination; that
+    merge rounds differently for other chunk sizes, so mean_cost and
+    std_err depend on the chunk size in their last bits.
+
+    Raises the first failure in input order, as one scenario at a time
+    would: a ValueError for a policy that is not valid or not of length T
+    (naming its index), and a ValueError naming T and the policy's index
+    when a policy's mean cost, its standard error or a per-slot mean is not
+    finite (a state or a cost overflowed).  A finite mean cost past about
+    1e154 makes the moment merge raise OverflowError, in the same order.
+    """
+    scenarios, error = [], None
+    for sys, ch, policies in runs:
+        try:
+            scenarios.append(_Scenario(sys, ch, policies, sim, return_samples))
+        except ValueError as exc:
+            error = exc
+            break
+    live = [s for s in scenarios if s.ps]   # a scenario without policies reads nothing
+    n = sim.n_samples
+    gain = sim.channel_model == "gain_threshold"
+    # One loop body for every chunk and scenario, not a call per scenario:
+    # each array it makes lives until the next scenario or chunk replaces
+    # it, so one scenario allocates and frees as a plain loop over chunks
+    # does.  Freeing them all on return let the heap shrink and page back
+    # in every chunk: 6.5 times the page faults on 1e6 replications.
+    # An overflowing state or cost makes the statistics raise in reports().
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            keys = _stream_keys(sim.seed, np.arange(lo, hi, dtype=np.int64))
+            normals = _Normals(keys, Counter(j for s in live for j in s.normal_draws))
+            for s in live:
+                sys, ch, ps, pis = s.sys, s.ch, s.ps, s.pis
+                T, m = sys.T, len(ps)
+                q, a, sigma_d = sys.q, sys.a, s.sigma_d
+                rk2 = sys.r * sys.k**2
+                bk = sys.b * sys.k
+                if sim.initial_state == "fixed":
+                    xs = [np.full(hi - lo, float(sim.x1))] * m
+                else:
+                    xs = [s.sigma_x * normals.take(0)[0]] * m
+                costs = [np.zeros(hi - lo) for _ in range(m)]
+                for t in range(T):
+                    last = t == T - 1
+                    if s.sending[t]:
+                        c = _uniform_column(keys, 1 + t)
+                        if gain:   # exponential gains -gbar ln u, mean gbar
+                            c = np.log(c, out=c)
+                            c *= -ch.gbar
+                    for k in range(m):
+                        x = xs[k]
+                        state = q * x * x
+                        s.state_sum[k, t] += state.sum()
+                        if not last:
+                            x_next = a * x
+                        if pis[k][t] > 0.0:
+                            if gain:
+                                z = c * ps[k][t]
+                                z /= ch.sigma2
+                                z = z >= ch.gamma
+                            else:
+                                z = c < pis[k][t]
+                            # x * z differs from "x where z, else 0" only at a
+                            # state that is not finite, which makes the mean raise
+                            xz = x * z
+                            inp = rk2 * xz * xz
+                            s.input_sum[k, t] += inp.sum()
+                            state += inp
+                            if not last:
+                                xz *= bk
+                                x_next += xz
+                        state += ps[k][t]
+                        costs[k] += state
+                        if not last:
+                            xs[k] = x_next
+                    if sigma_d > 0 and not last:
+                        d, own = normals.take(1 + T + t)
+                        if own:
+                            d *= sigma_d
+                        else:   # a later scenario reads the column: leave it as made
+                            d = d * sigma_d
+                        for x in xs:   # each policy's own x_next, made above
+                            x += d
+                try:
+                    s.merge(costs)
+                except OverflowError as exc:  # the merge squares a mean past ~1e154
+                    s.failure = exc
+            live = [s for s in live if s.failure is None]
+    reports = [s.reports() for s in scenarios]
+    if error is not None:
+        raise error
+    return reports
+
+
 def monte_carlo_costs(
     sys: SystemParams,
     ch: ChannelParams,
@@ -144,136 +383,14 @@ def monte_carlo_costs(
 ) -> list[SimReport]:
     """Average `sim.n_samples` replications of each policy over common draws.
 
-    All policies share one rollout and one set of draws: per chunk, each
-    column is made once, and only if some policy reads it, and every policy
-    advances its own state over it.  Each report is bit for bit the one the
-    policy gets alone, since a policy's arithmetic does not depend on the
-    others.  Replication i reads draw j of its stream (seed, i) in a fixed
-    layout: j = 0 is the initial state, j = 1..T the channels of slots 1..T
-    and j = T+1..2T their perturbations.  A draw that is not read is skipped,
-    never shifted onto another: a fixed initial state, sigma_d2 = 0, a slot
-    in which no policy sends, and the last perturbation, which only moves
-    the state past the horizon.  So each replication's cost depends only on
-    (seed, i), not on n_samples or the chunking.  Replications run in
-    chunks whose moments are merged by the parallel mean/variance
-    combination; that merge rounds differently for other chunk sizes, so
-    mean_cost and std_err depend on the chunk size in their last bits.
-
-    Raises ValueError naming T and the policy's index when a policy's mean
-    cost, its standard error or a per-slot mean is not finite (a state or a
-    cost overflowed).
+    The one-scenario call of `monte_carlo_batch`, whose docstring gives the
+    draw layout and the determinism it keeps: the policies share one
+    rollout, each column of draws is made once per chunk, and each report
+    is bit for bit the one its policy gets alone.  Raises ValueError naming
+    the policy's index for a policy that is not valid or not of length T,
+    and naming T too when its statistics are not finite.
     """
-    T = sys.T
-    ps, pis = [], []
-    for i, policy in enumerate(policies):
-        p = np.asarray(policy, dtype=float)
-        pi = policy_to_success(p, ch)  # validates p
-        if len(p) != T:
-            raise ValueError(
-                f"policy {i} has length {len(p)}, expected T = {T}")
-        ps.append(p)
-        pis.append(pi)
-    m = len(ps)
-    # pi_t = 0 receives nothing on either channel model (a gain-threshold
-    # reception would need -ln u >= theta/p_t > 745, and -ln u <= 54 ln 2),
-    # so a slot in which no policy sends draws no channel
-    sending = [any(pi[t] > 0.0 for pi in pis) for t in range(T)]
-    n = sim.n_samples
-    sigma_d = math.sqrt(sys.sigma_d2)
-    sigma_x = math.sqrt(sys.sigma_x2)
-    q, a = sys.q, sys.a
-    rk2 = sys.r * sys.k**2
-    bk = sys.b * sys.k
-    gain = sim.channel_model == "gain_threshold"
-
-    count = 0
-    mean = [0.0] * m
-    m2 = [0.0] * m
-    state_sum = np.zeros((m, T))
-    input_sum = np.zeros((m, T))
-    all_samples = [[] for _ in range(m)]
-
-    # an overflowing state or cost makes the statistics raise below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            keys = _stream_keys(sim.seed, np.arange(lo, hi, dtype=np.int64))
-            if sim.initial_state == "fixed":
-                xs = [np.full(hi - lo, float(sim.x1))] * m
-            else:
-                xs = [sigma_x * ndtri(_uniform_column(keys, 0))] * m
-            costs = [np.zeros(hi - lo) for _ in range(m)]
-            for t in range(T):
-                last = t == T - 1
-                if sending[t]:
-                    c = _uniform_column(keys, 1 + t)
-                    if gain:   # exponential gains -gbar ln u, mean gbar
-                        c = np.log(c, out=c)
-                        c *= -ch.gbar
-                for k in range(m):
-                    x = xs[k]
-                    state = q * x * x
-                    state_sum[k, t] += state.sum()
-                    if not last:
-                        x_next = a * x
-                    if pis[k][t] > 0.0:
-                        if gain:
-                            z = c * ps[k][t]
-                            z /= ch.sigma2
-                            z = z >= ch.gamma
-                        else:
-                            z = c < pis[k][t]
-                        # x * z differs from "x where z, else 0" only at a
-                        # state that is not finite, which makes the mean raise
-                        xz = x * z
-                        inp = rk2 * xz * xz
-                        input_sum[k, t] += inp.sum()
-                        state += inp
-                        if not last:
-                            xz *= bk
-                            x_next += xz
-                    state += ps[k][t]
-                    costs[k] += state
-                    if not last:
-                        xs[k] = x_next
-                if sigma_d > 0 and not last:
-                    d = ndtri(_uniform_column(keys, 1 + T + t))
-                    d *= sigma_d
-                    for x in xs:   # each policy's own x_next, made above
-                        x += d
-
-            # merge the chunk into the running moments (parallel combination)
-            c_n = hi - lo
-            total = count + c_n
-            for k, cost in enumerate(costs):
-                c_mean = float(cost.mean())
-                c_m2 = float(np.sum((cost - c_mean) ** 2))
-                delta = c_mean - mean[k]
-                mean[k] += delta * c_n / total
-                m2[k] += c_m2 + delta**2 * count * c_n / total
-                if return_samples:
-                    all_samples[k].append(cost)
-            count = total
-
-    reports = []
-    for k, p in enumerate(ps):
-        std_err = (math.sqrt(m2[k] / (count - 1)) / math.sqrt(count)
-                   if count > 1 else 0.0)
-        per_slot = np.column_stack([state_sum[k] / count, input_sum[k] / count, p])
-        if not (math.isfinite(mean[k]) and math.isfinite(std_err)
-                and np.isfinite(per_slot).all()):
-            raise ValueError(
-                f"Monte Carlo cost statistics are not finite (T = {T}, "
-                f"policy {k}): a state or a cost overflowed")
-        reports.append(SimReport(
-            mean_cost=mean[k],
-            std_err=std_err,
-            per_slot=per_slot,
-            n_samples=count,
-            std_err_valid=count > 1,
-            samples=np.concatenate(all_samples[k]) if return_samples else None,
-        ))
-    return reports
+    return monte_carlo_batch([(sys, ch, policies)], sim, return_samples)[0]
 
 
 def monte_carlo_cost(

@@ -131,6 +131,21 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="sys.q"):
             load_config(path=path)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 3 + 2**64])
+    def test_seed_must_be_a_u64(self, tmp_path, capsys, seed):
+        # a seed past 2**64 - 1 used to wrap onto another seed's draws
+        message = f"sim.seed must be an integer in [0, 2**64 - 1] (got {seed})"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sim": {"seed": seed}}))
+        with pytest.raises(ConfigError) as exc:
+            load_config(path=path)
+        assert str(exc.value) == message
+        assert main(["simulate", "--seed", str(seed), "--out",
+                     str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+        assert load_config(seed=2**64 - 1).sim.seed == 2**64 - 1
+
     def test_eps_cost_must_be_finite(self, tmp_path):
         # an infinite quantum would stop the descent at once, "converged"
         path = tmp_path / "cfg.json"
@@ -302,6 +317,44 @@ class TestCompareCommand:
         assert err.startswith("error:") and "9:3" in err
         assert len(err.strip().splitlines()) == 1
         assert not tmp_path.joinpath("comparison.csv").exists()
+
+    @pytest.mark.parametrize("spec,part", [("2:x", "2:x"), ("2,x,4", "x"),
+                                           ("3:", "3:"), ("1:2:3", "1:2:3")])
+    def test_unparsable_horizon_named(self, tmp_path, capsys, spec, part):
+        rc = main(["compare", "--preset", "fig4", "--horizons", spec,
+                   "--out", str(tmp_path)])
+        assert rc != 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: bad horizon {part!r} in {spec!r} (expected T or lo:hi)"]
+        assert not any(tmp_path.iterdir())
+
+
+class TestCompareFailures:
+    """The horizons of a compare descend together and share one Monte Carlo
+    rollout, but fail as one at a time would: the first failing horizon in
+    input order ends the run, whether its descent or its Monte Carlo failed,
+    and no comparison.csv is written.  Under this config every rollout past
+    T = 10 overflows (x1^2 = 1e300; policy 0 is the first to), and the
+    descent's second moments overflow at T = 400."""
+
+    CONFIG = {"sys": {"a": 3.0},
+              "sim": {"initial_state": "fixed", "x1": 1e150, "n_samples": 4}}
+    MONTE_CARLO = ("error: Monte Carlo cost statistics are not finite (T = {}, "
+                   "policy 0): a state or a cost overflowed")
+    DESCENT = "error: second moment E[x_t^2] is not finite at slot t = 325 of T = 400"
+
+    @pytest.mark.parametrize("horizons,error", [
+        ("12,400", MONTE_CARLO.format(12)),
+        ("400,12", DESCENT),
+        ("13,12,400", MONTE_CARLO.format(13)),
+    ])
+    def test_first_failure_in_input_order(self, tmp_path, capsys, horizons, error):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        assert main(["compare", "--config", str(cfg), "--horizons", horizons,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [error]
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweepCommand:
@@ -491,10 +544,12 @@ class TestDeterminism:
 
 class TestGoldenOutputs:
     # tests/data/golden/<name>/ holds every file the command wrote before the
-    # workflows shared one scenario loop and one CSV writer
+    # workflows shared one scenario loop and one CSV writer; fig4's (T = 2..30),
+    # before its horizons shared one Monte Carlo rollout
     @pytest.mark.parametrize("name,argv", [
         ("fig2", ["figure", "fig2"]),
         ("fig3", ["figure", "fig3"]),
+        ("fig4", ["figure", "fig4"]),
         ("simulate_fig4", ["simulate", "--preset", "fig4", "--seed", "7",
                            "--samples", "3001"]),
     ])

@@ -1,8 +1,10 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lqpower.simulator as simmod
 from lqpower import (
@@ -11,10 +13,12 @@ from lqpower import (
     SystemParams,
     baseline_policy,
     expected_cost,
+    monte_carlo_batch,
     monte_carlo_cost,
     monte_carlo_costs,
     policy_to_success,
 )
+from lqpower.experiments import load_config, run_compare
 from lqpower.simulator import _stream_keys, _uniform_column
 from oracles import (
     ReplicationStream,
@@ -403,6 +407,112 @@ class TestSharedRollout:
         assert monte_carlo_costs(_sys(), CH, [], SimConfig()) == []
 
 
+def _floats(lo, hi):
+    # policy_to_success warns on a subnormal power, whose theta/p overflows
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False,
+                     allow_subnormal=False)
+
+
+@st.composite
+def _batches(draw):
+    """A SimConfig and 1..5 scenarios (sys, ch, policies) with T <= 6, so
+    that scenarios often read the same normal columns."""
+    sim = SimConfig(
+        n_samples=draw(st.integers(1, 40)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        channel_model=draw(st.sampled_from(["bernoulli", "gain_threshold"])),
+        initial_state=draw(st.sampled_from(["gaussian", "fixed"])),
+        x1=draw(_floats(-2.0, 2.0)))
+    runs = []
+    for _ in range(draw(st.integers(1, 5))):
+        s = _sys(a=draw(_floats(0.6, 1.3)), sigma_x2=draw(_floats(0.0, 2.0)),
+                 sigma_d2=draw(st.just(0.0) | _floats(0.0, 0.5)),
+                 T=draw(st.integers(1, 6)))
+        power = st.just(0.0) | st.just(CH.p_max) | _floats(0.0, CH.p_max)
+        policies = draw(st.lists(st.lists(power, min_size=s.T, max_size=s.T),
+                                 max_size=3))
+        runs.append((s, CH, policies))
+    return sim, runs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(_batches())
+def test_batch_equals_singles(batch):
+    # chunks of 7 replications: up to 40 replications cross chunk boundaries
+    sim, runs = batch
+    with mock.patch.object(simmod, "_CHUNK", 7):
+        together = monte_carlo_batch(runs, sim, return_samples=True)
+        alone = [monte_carlo_costs(*run, sim, return_samples=True) for run in runs]
+    assert len(together) == len(runs)
+    for got_reports, want_reports in zip(together, alone):
+        assert len(got_reports) == len(want_reports)
+        for got, want in zip(got_reports, want_reports):
+            assert got.mean_cost == want.mean_cost
+            assert got.std_err == want.std_err
+            assert got.std_err_valid == want.std_err_valid
+            assert np.array_equal(got.per_slot, want.per_slot)
+            assert np.array_equal(got.samples, want.samples)
+
+
+class TestBatchRollout:
+    def test_compare_makes_each_normal_column_once(self, tmp_path, monkeypatch):
+        made = []     # (first key of the chunk, j) of every normal column made
+        stores = []   # each chunk's _Normals
+        make, Normals = simmod._normal_column, simmod._Normals
+
+        def spy(keys, j):
+            made.append((int(keys[0]), j))
+            return make(keys, j)
+
+        class Recorded(Normals):
+            def __init__(self, *args):
+                super().__init__(*args)
+                stores.append(self)
+
+        monkeypatch.setattr(simmod, "_normal_column", spy)
+        monkeypatch.setattr(simmod, "_Normals", Recorded)
+        monkeypatch.setattr(simmod, "_CHUNK", 4)
+        cfg = load_config(preset="fig4", samples=10, output_dir=str(tmp_path))
+        run_compare(cfg, range(2, 7))
+        # three chunks of 4, 4 and 2 replications, each with x1 (j = 0) and
+        # the perturbations j = T+1..2T-1 of T = 2..6, that is j = 3..11
+        chunks = {key for key, _ in made}
+        assert len(chunks) == 3 and len(stores) == 3
+        assert len(made) == len(set(made))
+        assert set(made) == {(key, j) for key in chunks for j in [0, *range(3, 12)]}
+        for store in stores:   # every read made, no column left held
+            assert store.held == {}
+            assert not any(store.left.values())
+
+    def test_empty_batch(self):
+        assert monte_carlo_batch([], SimConfig()) == []
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (3, 0), (0, 3),
+                                       (1, 3), (3, 1)])
+    def test_raises_the_first_failure_in_input_order(self, order):
+        # 0 is valid; 1 overflows to inf; 2 has a policy of the wrong length;
+        # 3 has a finite cost near 1e200, whose moment merge overflows
+        sim = SimConfig(n_samples=4, initial_state="fixed")
+        scenarios = [
+            (_sys(a=0.5, T=3), CH, [np.zeros(3)]),
+            (_sys(a=3.0, T=400), CH, [np.zeros(400)]),
+            (_sys(T=3), CH, [np.zeros(3), np.zeros(2)]),
+            (_sys(q=1e200, T=2), CH, [np.zeros(2)]),
+        ]
+        runs = [scenarios[i] for i in order]
+        for run in runs:   # the failure of one scenario at a time
+            try:
+                monte_carlo_costs(*run, sim)
+            except (ValueError, OverflowError) as exc:
+                want = exc
+                break
+        first = next(i for i in order if i)   # the first scenario that fails
+        assert isinstance(want, OverflowError) == (first == 3)
+        with pytest.raises(type(want)) as got:
+            monte_carlo_batch(runs, sim)
+        assert str(got.value) == str(want)
+
+
 class TestBaselines:
     def test_open_loop(self):
         assert np.array_equal(baseline_policy("open_loop", CH, 5), np.zeros(5))
@@ -435,3 +545,15 @@ class TestSimConfigValidation:
     def test_bad_initial_state(self):
         with pytest.raises(ValueError, match="initial_state"):
             SimConfig(initial_state="uniform")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 3 + 2**64])
+    def test_seed_outside_u64(self, seed):
+        # the streams take the seed as a u64: a wrapped seed would replay
+        # another seed's draws
+        with pytest.raises(ValueError, match=r"sim\.seed must be an integer "
+                                             r"in \[0, 2\*\*64 - 1\]"):
+            SimConfig(seed=seed)
+
+    def test_seed_bounds_accepted(self):
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            SimConfig(seed=seed)
