@@ -402,9 +402,10 @@ def monte_carlo_cost(
 ) -> SimReport:
     """Average `sim.n_samples` independent replications of one policy.
 
-    The one-policy call of `monte_carlo_costs`, whose docstring gives the
-    draw layout and the determinism it keeps.  Raises ValueError when the
-    mean cost, its standard error or a per-slot mean is not finite.
+    The one-policy call of `monte_carlo_costs`; `monte_carlo_batch`'s
+    docstring gives the draw layout and the determinism it keeps.  Raises
+    ValueError when the mean cost, its standard error or a per-slot mean is
+    not finite.
     """
     return monte_carlo_costs(sys, ch, [policy], sim, return_samples)[0]
 
