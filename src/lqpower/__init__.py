@@ -31,7 +31,6 @@ from .simulator import (
     baseline_policy,
     monte_carlo_batch,
     monte_carlo_cost,
-    monte_carlo_costs,
 )
 
 __version__ = "0.1.0"
@@ -56,7 +55,6 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "monte_carlo_cost",
-    "monte_carlo_costs",
     "monte_carlo_batch",
     "baseline_policy",
     "__version__",

@@ -81,6 +81,12 @@ class SystemParams:
             raise ValueError(f"sys.sigma_x2 must be >= 0 (got {self.sigma_x2})")
         if self.sigma_d2 < 0:
             raise ValueError(f"sys.sigma_d2 must be >= 0 (got {self.sigma_d2})")
+        for name in ("a", "b", "k"):
+            try:  # the model squares them as Python floats, which raise
+                getattr(self, name) ** 2
+            except OverflowError:
+                raise ValueError(f"sys.{name} = {getattr(self, name)} is out of "
+                                 f"range: its square overflows") from None
 
     @property
     def closed_loop_coeff(self) -> float:
@@ -177,7 +183,8 @@ def policy_to_success(p: np.ndarray, ch: ChannelParams) -> np.ndarray:
     """The power -> success map, np.exp(-theta/p) (0 at p = 0), over a policy."""
     p = _checked(p, "policy", ch)
     out = np.zeros_like(p)
-    out[p > 0] = np.exp(-ch.theta / p[p > 0])
+    with np.errstate(over="ignore"):  # a subnormal p: -theta/p = -inf, pi = 0
+        out[p > 0] = np.exp(-ch.theta / p[p > 0])
     return out
 
 
@@ -243,11 +250,13 @@ def expected_cost(
     """
     pi = _checked(pi, "success", ch, sys.T)
     ex2 = forward_second_moments(sys, pi, sys.sigma_x2 if ex2_1 is None else ex2_1)
-    return _total_cost(sys, pi, ex2, _power(pi, ch))
+    with np.errstate(over="ignore"):  # _total_cost names an inf cost
+        return _total_cost(sys, pi, ex2, _power(pi, ch))
 
 
 def _total_cost(sys: SystemParams, pi: np.ndarray, ex2: np.ndarray, power) -> float:
-    """The cost of pi from its second moments ex2 and its powers, _power(pi)."""
+    """The cost of pi from its second moments ex2 and its powers, _power(pi),
+    raising where it is not finite: call it with numpy's overflow quieted."""
     control = float(((sys.q + sys.r * sys.k**2 * pi) * ex2).sum())
     cost = control + float(power[pi > 0].sum())
     if not math.isfinite(cost):
@@ -305,6 +314,16 @@ def _update_tables(sys: SystemParams, pi: np.ndarray, fbar: np.ndarray,
     _check(fbar, ex2)
 
 
+def _fill_tables(sys: SystemParams, pi: np.ndarray, fbar: np.ndarray,
+                 ex2: np.ndarray) -> None:
+    """Fill fbar and ex2 in place from fbar[T] = 0 and ex2[0] = E[x_1^2]:
+    the backward pass from slot T-1, the forward one from slot 0, and the
+    check of _update_tables."""
+    fbar[sys.T - 1::-1] = _backward(sys, pi, 0.0, sys.T - 1)
+    ex2[1:] = _forward(sys, pi, float(ex2[0]), 0)
+    _check(fbar, ex2)
+
+
 def _moments(sys: SystemParams, pi: np.ndarray, ex2_1: float) -> np.ndarray:
     """ex2 over the whole horizon from E[x_1^2] = ex2_1, not yet checked for
     overflow."""
@@ -322,7 +341,8 @@ def _tables(sys: SystemParams, pi: np.ndarray, ex2_1: float | None) -> Recursion
     fbar = np.zeros(sys.T + 1)
     fbar[sys.T - 1::-1] = _backward(sys, pi, 0.0, sys.T - 1)
     ex2 = None if ex2_1 is None else _moments(sys, pi, ex2_1)
-    fs = np.cumsum(fbar[::-1])[::-1]  # sequential, as fs[t] = fbar[t] + fs[t+1]
+    with np.errstate(over="ignore"):  # an inf tail is named by _check
+        fs = np.cumsum(fbar[::-1])[::-1]  # sequential, as fs[t] = fbar[t] + fs[t+1]
     _check(fs, ex2)
     return RecursionTables(fbar=fbar, fs=fs, ex2=ex2)
 

@@ -16,14 +16,15 @@ descends monotonically.  This is the only descent rule; optimize_policies
 runs it over many scenarios at once, and optimize_policy is its batch of one.
 A batch holds one incumbent per scenario as a row of (S, W) float64 tables,
 W the longest horizon: the policy, its pi and powers, its fbar and ex2
-tables, and beside them each row's exact cost.  At the start the cost is
-expected_cost's and the tables take one backward and one forward pass of
-compute_tables.  Each iteration scores all rows still descending with one
-set of array operations; then each row adopts its own move: writing slot
-t* reruns, in place on the row, the backward pass from t* down to slot 0
-and the forward pass from t* to T-1, T slot-steps bit-equal to full tables,
-plus O(T) array work.  The moved slot's pi comes from the same np.exp as
-policy_to_success and pi_max, so a move to the cap stays within it.
+tables, and beside them each row's exact cost and cost history.  At the
+start the cost is expected_cost's, and the row's tables take one backward
+and one forward pass, checked as a move's are.  Each iteration scores all
+rows still descending with one set of array operations; then each row
+adopts its own move: writing slot t* reruns, in place on the row, the
+backward pass from t* down to slot 0 and the forward pass from t* to T-1,
+T slot-steps bit-equal to full tables, plus O(T) array work.  The moved
+slot's pi comes from the same np.exp as policy_to_success and pi_max, so a
+move to the cap stays within it.
 """
 
 from __future__ import annotations
@@ -34,16 +35,16 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special._ufuncs import _lambertw
+from scipy.special import lambertw
 
 from .model import (
     ChannelParams,
     RecursionTables,
     SystemParams,
+    _fill_tables,
     _power,
     _total_cost,
     _update_tables,
-    compute_tables,
     expected_cost,
     policy_to_success,
     success_to_power,
@@ -113,9 +114,9 @@ def _root(A: np.ndarray, theta: np.ndarray, slope_e2, pi_max: np.ndarray) -> np.
     """stationary_success over slopes A, with theta, theta e^2/4 and pi_max
     given per entry of A: the root in (e^-2, pi_max), NaN where there is none."""
     roots = np.full(A.shape, np.nan)
-    # Lambert W's ufunc, unwrapped, only where the slope at e^-2 is negative
+    # Lambert W's branch 0, only where the slope at e^-2 is negative
     neg = A + slope_e2 < 0.0
-    pi0 = np.exp(2.0 * _lambertw(-0.5 * np.sqrt(-theta[neg] / A[neg]), 0, 1e-8).real)
+    pi0 = np.exp(2.0 * lambertw(-0.5 * np.sqrt(-theta[neg] / A[neg]), 0, 1e-8).real)
     roots[neg] = np.where(pi0 < pi_max[neg], pi0, np.nan)
     return roots
 
@@ -159,8 +160,9 @@ def _constants(scenarios, W: int) -> tuple[np.ndarray, ...]:
 
 def _candidates(consts, fbar, ex2, pi, power) -> tuple[np.ndarray, ...]:
     """Second candidate v of every slot of (S, W) tables, 0 where it does not
-    descend, and the exact cost changes d0, d1 of moving the slot alone to 0
-    and to v."""
+    descend, the exact cost changes d0, d1 of moving the slot alone to 0
+    and to v, and the slopes A.  Where an A overflows, its d0 and d1 are
+    inf or nan."""
     rk2, c, slope_edge, theta, slope_e2, pi_max = consts
     tail = rk2 + c * fbar[:, 1:]
     # a slot whose state is 0 almost surely moves no cost through it, even
@@ -172,7 +174,7 @@ def _candidates(consts, fbar, ex2, pi, power) -> tuple[np.ndarray, ...]:
     A_down, theta, pi_max = A[down], theta[down], pi_max[down]
     v[down] = v_down = np.fmin(_root(A_down, theta, slope_e2[down], pi_max), pi_max)
     d1[down] = (v_down - pi[down]) * A_down - theta / np.log(v_down) - power[down]
-    return v, d0, d1
+    return v, d0, d1, A
 
 
 def slot_candidates(
@@ -196,81 +198,66 @@ def slot_candidates(
     if tables.ex2 is None:
         raise ValueError("tables.ex2 missing: run the forward pass first")
     pi = np.asarray(pi, dtype=float)
-    [v], [d0], [d1] = _candidates(_constants([(sys, ch)], len(pi)), tables.fbar[None],
-                                  tables.ex2[None], pi[None], _power(pi, ch)[None])
+    [v], [d0], [d1], _ = _candidates(
+        _constants([(sys, ch)], len(pi)), tables.fbar[None], tables.ex2[None],
+        pi[None], _power(pi, ch)[None])
     return np.stack([np.zeros_like(pi), v], 1), np.stack([d0, d1], 1)
-
-
-@dataclass
-class _Incumbent:
-    """One scenario's descent: its policy, pi, _power(pi), fbar and ex2 as
-    views of its batch row cut to its T, its exact cost and cost history."""
-
-    sys: SystemParams
-    ch: ChannelParams
-    k_max: int
-    policy: np.ndarray
-    pi: np.ndarray
-    power: np.ndarray
-    fbar: np.ndarray
-    ex2: np.ndarray
-    cost: float
-    history: list[float]
-
-    def trace(self, converged: bool) -> OptimizationTrace:
-        return OptimizationTrace(
-            policy=self.policy.copy(),
-            success=self.pi.copy(),
-            cost_history=np.asarray(self.history),
-            iterations=len(self.history) - 1,
-            converged=converged,
-        )
 
 
 class _Batch:
     """The incumbents of S scenarios, one row each of (S, W) tables.
 
-    W is the longest horizon.  Slots past a row's T, and every slot of a row
-    that has left, hold ex2 = fbar = 0 and power -inf: A is 0 there, so they
-    never descend, and d0 = 0 - pi A - power = +inf keeps them out of the
-    scan.  outcomes[i] is row i's trace once it has left at a fixed point or
-    at its k_max, or the ValueError it raised; None while it descends.
+    W is the longest horizon.  Row i's scenario, scenarios[i] = (sys, ch),
+    owns the first T slots of its row (fbar: T + 1 entries), beside its
+    exact cost cost[i], its cost history history[i] and its k_max[i].
+    Slots past a row's T, and every slot of a row that has left, hold
+    ex2 = fbar = 0 and power -inf: A is 0 there, so they never descend, and
+    d0 = 0 - pi A - power = +inf keeps them out of the scan.  outcomes[i] is
+    row i's trace once it has left at a fixed point or at its k_max, or the
+    ValueError it raised; None while it descends.
     """
 
     def __init__(self, scenarios, policies, cfg: OptimizerConfig):
         S, W = len(scenarios), max((sys.T for sys, _ in scenarios), default=0)
-        self.eps_cost = cfg.eps_cost
+        self.scenarios, self.eps_cost = scenarios, cfg.eps_cost
         self.consts = _constants(scenarios, W)
         self.policy, self.pi, self.ex2 = np.zeros((S, W)), np.zeros((S, W)), np.zeros((S, W))
         self.power, self.fbar = np.full((S, W), -np.inf), np.zeros((S, W + 1))
         self.cost = np.zeros((S, 1))
-        self.rows: list[_Incumbent | None] = [None] * S
+        self.history: list[list[float]] = [[] for _ in range(S)]
+        self.k_max = [max(200, 10 * sys.T) if cfg.k_max is None else cfg.k_max
+                      for sys, _ in scenarios]
         self.outcomes: list[OptimizationTrace | ValueError | None] = [None] * S
         self.active = []
         for i, ((sys, ch), policy) in enumerate(zip(scenarios, policies)):
             ex2_1 = sys.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1
-            k_max = max(200, 10 * sys.T) if cfg.k_max is None else cfg.k_max
+            T = sys.T
             try:
                 pi = policy_to_success(policy, ch)
                 cost = expected_cost(sys, ch, pi, ex2_1)  # moments checked before tails
-                tab = compute_tables(sys, ch, pi, ex2_1)
+                self.pi[i, :T], self.ex2[i, 0] = pi, ex2_1
+                _fill_tables(sys, self.pi[i, :T], self.fbar[i, :T + 1], self.ex2[i, :T])
             except ValueError as exc:
-                self.outcomes[i] = exc
+                self._leave(i, exc)
                 continue
-            T = sys.T
-            row = _Incumbent(sys, ch, k_max, self.policy[i, :T], self.pi[i, :T],
-                             self.power[i, :T], self.fbar[i, :T + 1], self.ex2[i, :T],
-                             cost, [cost])
-            row.policy[:], row.pi[:], row.power[:] = policy, pi, _power(pi, ch)
-            row.fbar[:], row.ex2[:] = tab.fbar, tab.ex2
-            self.cost[i] = cost
-            self.rows[i] = row
+            self.policy[i, :T], self.power[i, :T] = policy, _power(pi, ch)
+            self.cost[i], self.history[i] = cost, [cost]
             self.active.append(i)
 
     def _leave(self, i: int, outcome) -> None:
         """Row i leaves with its outcome; its tables stop taking part."""
         self.outcomes[i] = outcome
         self.fbar[i], self.ex2[i], self.power[i] = 0.0, 0.0, -np.inf
+
+    def _trace(self, i: int, converged: bool) -> OptimizationTrace:
+        T, history = self.scenarios[i][0].T, self.history[i]
+        return OptimizationTrace(
+            policy=self.policy[i, :T].copy(),
+            success=self.pi[i, :T].copy(),
+            cost_history=np.asarray(history),
+            iterations=len(history) - 1,
+            converged=converged,
+        )
 
     def step(self) -> None:
         """Move every active row by its best single-coordinate replacement, if any.
@@ -281,9 +268,13 @@ class _Batch:
         point, where its winner does not improve its cost by at least
         cfg.eps_cost relative.  Otherwise only the winning slot t is written and
         checked, and the row's tables rerun from it in place, T slot-steps
-        in all; a row leaves unconverged at its k_max.
+        in all; a row leaves unconverged at its k_max.  A row leaves with a
+        ValueError where a slope A_t or its cost overflows: run this under
+        np.errstate(over="ignore", invalid="ignore").
         """
-        v, d0, d1 = _candidates(self.consts, self.fbar, self.ex2, self.pi, self.power)
+        v, d0, d1, A = _candidates(self.consts, self.fbar, self.ex2, self.pi, self.power)
+        overflowed = () if np.isfinite(A).all() else set(
+            np.flatnonzero(~np.isfinite(A).all(axis=1)).tolist())
         slot_cost = self.cost + np.minimum(d0, d1)
         # a later slot displaces the running winner only when strictly better
         # beyond the tie tolerance, so only a strict prefix minimum can
@@ -294,7 +285,6 @@ class _Batch:
         rows, later, first = rows.tolist(), later.tolist(), slot_cost[:, 0].tolist()
         j, n, active = 0, len(rows), []
         for i in self.active:
-            row = self.rows[i]
             t, best_cost = 0, first[i]
             bar = best_cost - TIE_TOL * abs(best_cost)
             while j < n and rows[j] == i:
@@ -302,25 +292,34 @@ class _Batch:
                     t, best_cost = later[j], later_cost[j]
                     bar = best_cost - TIE_TOL * abs(best_cost)
                 j += 1
-            if not best_cost < row.cost - self.eps_cost * abs(row.cost):
-                row.history.append(row.cost)
-                self._leave(i, row.trace(True))
+            if i in overflowed:
+                t = int(np.flatnonzero(~np.isfinite(A[i]))[0])
+                self._leave(i, ValueError(f"cost slope A_t is not finite at slot t = "
+                                          f"{t + 1} of T = {self.scenarios[i][0].T}"))
                 continue
-            ch = row.ch
+            history = self.history[i]
+            cost = history[-1]
+            if not best_cost < cost - self.eps_cost * abs(cost):
+                history.append(cost)
+                self._leave(i, self._trace(i, True))
+                continue
+            sys, ch = self.scenarios[i]
+            T = sys.T
+            pi, ex2 = self.pi[i, :T], self.ex2[i, :T]
             p = success_to_power(float(v[i, t]) if d1[i, t] < d0[i, t] else 0.0, ch)
             # policy_to_success's np.exp, as pi_max's: p <= p_max keeps pi <= pi_max
-            row.policy[t], row.pi[t] = p, (np.exp(-ch.theta / p) if p > 0 else 0.0)
-            row.power[t] = -ch.theta / np.log(row.pi[t]) if row.pi[t] > 0 else 0.0
+            self.policy[i, t], pi[t] = p, (np.exp(-ch.theta / p) if p > 0 else 0.0)
+            self.power[i, t] = -ch.theta / np.log(pi[t]) if pi[t] > 0 else 0.0
             try:
-                _update_tables(row.sys, row.pi, row.fbar, row.ex2, t)
-                row.cost = _total_cost(row.sys, row.pi, row.ex2, row.power)
+                _update_tables(sys, pi, self.fbar[i, :T + 1], ex2, t)
+                cost = _total_cost(sys, pi, ex2, self.power[i, :T])
             except ValueError as exc:
                 self._leave(i, exc)
                 continue
-            row.history.append(row.cost)
-            self.cost[i] = row.cost
-            if len(row.history) > row.k_max:
-                self._leave(i, row.trace(False))
+            history.append(cost)
+            self.cost[i] = cost
+            if len(history) > self.k_max[i]:
+                self._leave(i, self._trace(i, False))
             else:
                 active.append(i)
         self.active = active
@@ -352,8 +351,8 @@ def optimize_policies(
     batch runs before this returns; the iterator then yields the traces in
     input order, emits a scenario's k_max warning as it yields its trace,
     and raises the ValueError of the first scenario (in input order) whose
-    moments, tail factors or cost overflowed when it reaches it, as
-    optimize_policy called on each scenario in turn would.
+    moments, tail factors, cost slopes or cost overflowed when it reaches
+    it, as optimize_policy called on each scenario in turn would.
     """
     scenarios = list(scenarios)
     policies = []
@@ -362,8 +361,9 @@ def optimize_policies(
         policy[-1] = 0.0
         policies.append(policy)
     batch = _Batch(scenarios, policies, cfg)
-    while batch.active:
-        batch.step()
+    with np.errstate(over="ignore", invalid="ignore"):  # step names each overflow
+        while batch.active:
+            batch.step()
     return _delivered(batch.outcomes)
 
 

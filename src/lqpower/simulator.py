@@ -38,7 +38,6 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "monte_carlo_cost",
-    "monte_carlo_costs",
     "monte_carlo_batch",
     "baseline_policy",
 ]
@@ -204,7 +203,6 @@ class _Scenario:
             *(range(T + 1, 2 * T) if self.sigma_d > 0 else []),
         ]
         self.return_samples = return_samples
-        self.failure = None
         self.count = 0
         self.mean = [0.0] * m
         self.m2 = [0.0] * m
@@ -214,7 +212,8 @@ class _Scenario:
 
     def merge(self, costs: list[np.ndarray]) -> None:
         """Merge one chunk's costs into the running moments (parallel
-        mean/variance combination)."""
+        mean/variance combination).  A square past the largest float is
+        inf, which reports() names."""
         count, mean, m2 = self.count, self.mean, self.m2
         size = len(costs[0])
         total = count + size
@@ -223,15 +222,17 @@ class _Scenario:
             c_m2 = float(np.sum((cost - c_mean) ** 2))
             delta = c_mean - mean[k]
             mean[k] += delta * size / total
-            m2[k] += c_m2 + delta**2 * count * size / total
+            # the term is 0.0 at the first chunk; a float64 square is bit-equal
+            # to the Python float's, but overflows to inf where that one raises
+            if count:
+                c_m2 += float(np.float64(delta)**2 * count * size / total)
+            m2[k] += c_m2
             if self.return_samples:
                 self.all_samples[k].append(cost)
         self.count = total
 
     def reports(self) -> list[SimReport]:
-        """One report per policy; raises the scenario's failure, if any."""
-        if self.failure is not None:
-            raise self.failure
+        """One report per policy; raises where its statistics are not finite."""
         T, count = self.sys.T, self.count
         reports = []
         for k, p in enumerate(self.ps):
@@ -287,8 +288,7 @@ def monte_carlo_batch(runs, sim: SimConfig,
     would: a ValueError for a policy that is not valid or not of length T
     (naming its index), and a ValueError naming T and the policy's index
     when a policy's mean cost, its standard error or a per-slot mean is not
-    finite (a state or a cost overflowed).  A finite mean cost past about
-    1e154 makes the moment merge raise OverflowError, in the same order.
+    finite (a state, a cost or the square of a cost overflowed).
     """
     scenarios, error = [], None
     for sys, ch, policies in runs:
@@ -305,7 +305,8 @@ def monte_carlo_batch(runs, sim: SimConfig,
     # it, so one scenario allocates and frees as a plain loop over chunks
     # does.  Freeing them all on return let the heap shrink and page back
     # in every chunk: 6.5 times the page faults on 1e6 replications.
-    # An overflowing state or cost makes the statistics raise in reports().
+    # An overflowing state, cost or square makes the statistics raise in
+    # reports().
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
@@ -363,34 +364,11 @@ def monte_carlo_batch(runs, sim: SimConfig,
                             d = d * sigma_d
                         for x in xs:   # each policy's own x_next, made above
                             x += d
-                try:
-                    s.merge(costs)
-                except OverflowError as exc:  # the merge squares a mean past ~1e154
-                    s.failure = exc
-            live = [s for s in live if s.failure is None]
+                s.merge(costs)
     reports = [s.reports() for s in scenarios]
     if error is not None:
         raise error
     return reports
-
-
-def monte_carlo_costs(
-    sys: SystemParams,
-    ch: ChannelParams,
-    policies,
-    sim: SimConfig,
-    return_samples: bool = False,
-) -> list[SimReport]:
-    """Average `sim.n_samples` replications of each policy over common draws.
-
-    The one-scenario call of `monte_carlo_batch`, whose docstring gives the
-    draw layout and the determinism it keeps: the policies share one
-    rollout, each column of draws is made once per chunk, and each report
-    is bit for bit the one its policy gets alone.  Raises ValueError naming
-    the policy's index for a policy that is not valid or not of length T,
-    and naming T too when its statistics are not finite.
-    """
-    return monte_carlo_batch([(sys, ch, policies)], sim, return_samples)[0]
 
 
 def monte_carlo_cost(
@@ -402,12 +380,12 @@ def monte_carlo_cost(
 ) -> SimReport:
     """Average `sim.n_samples` independent replications of one policy.
 
-    The one-policy call of `monte_carlo_costs`; `monte_carlo_batch`'s
+    The call of `monte_carlo_batch` with one scenario and one policy; its
     docstring gives the draw layout and the determinism it keeps.  Raises
     ValueError when the mean cost, its standard error or a per-slot mean is
     not finite.
     """
-    return monte_carlo_costs(sys, ch, [policy], sim, return_samples)[0]
+    return monte_carlo_batch([(sys, ch, [policy])], sim, return_samples)[0][0]
 
 
 def baseline_policy(kind: str, ch: ChannelParams, T: int) -> np.ndarray:

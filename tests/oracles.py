@@ -275,10 +275,10 @@ def coordinate_sweep(
     batch = _Batch([(sys, ch)], [np.array(policy, dtype=float)], cfg)
     if batch.active:
         batch.step()
-    [row], [outcome] = batch.rows, batch.outcomes
+    [outcome] = batch.outcomes
     if isinstance(outcome, ValueError):
         raise outcome
-    return row.policy.copy(), row.cost
+    return batch.policy[0].copy(), float(batch.cost[0, 0])
 
 
 def cost_slope(

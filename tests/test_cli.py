@@ -1,10 +1,14 @@
+import io
 import json
 import re
+import tempfile
+from contextlib import redirect_stderr
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lqpower import optimizer
 from lqpower.cli import main
@@ -357,6 +361,30 @@ class TestCompareFailures:
         assert not (tmp_path / "out").exists()
 
 
+class TestOverflowIsOneErrorLine:
+    """A cost that overflows ends the run with one "error:" line on stderr:
+    no traceback, and no numpy warning before it."""
+
+    MONTE_CARLO = (r"error: Monte Carlo cost statistics are not finite "
+                   r"\(T = \d+, policy \d+\)")
+
+    @pytest.mark.parametrize("argv,config,error", [
+        (["simulate"], {"sys": {"q": 1e200}}, MONTE_CARLO),
+        (["simulate"], {"sys": {"sigma_x2": 1e300}}, MONTE_CARLO),
+        (["compare", "--horizons", "5"],
+         {"sys": {"a": 3.0}, "sim": {"initial_state": "fixed", "x1": 1e150}},
+         MONTE_CARLO),
+        (["optimize"], {"sys": {"q": 1e300, "a": 13407.8}, "opt": {"ex2_1": 1.0}},
+         r"error: expected cost is not finite \(T = 30\)$"),
+    ], ids=["simulate-q", "simulate-sigma_x2", "compare-x1", "optimize-q"])
+    def test_one_error_line(self, tmp_path, capsys, argv, config, error):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert re.match(error, line)
+
+
 class TestSweepCommand:
     def test_per_value_files_and_index(self, tmp_path):
         cfg = load_config(preset="fig3", output_dir=str(tmp_path))
@@ -560,3 +588,60 @@ class TestGoldenOutputs:
         assert sorted(p.name for p in tmp_path.iterdir()) == names
         for fname in names:
             assert (tmp_path / fname).read_bytes() == (golden / fname).read_bytes(), fname
+
+
+# Extreme finite inputs: subnormals, the smallest normal, the largest
+# float and magnitudes whose squares or products overflow.
+_EXTREMES = (5e-324, 2.2e-311, 2.2250738585072014e-308, 1e-300, 1e-150, 1e-8,
+             1e8, 1e150, 1e200, 1e300, 1.7976931348623157e308)
+
+
+def _magnitudes():
+    # half of the draws moderate, so that most configs load and run
+    return st.one_of(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+                     st.sampled_from(_EXTREMES), st.floats(0.0, allow_infinity=False),
+                     st.floats(1e-6, 1e6))
+
+
+def _signed():
+    return st.tuples(st.sampled_from([1.0, -1.0]), _magnitudes()).map(
+        lambda sm: sm[0] * sm[1])
+
+
+@st.composite
+def _runs(draw):
+    """A command line and a config of extreme but finite floats, T <= 12."""
+    T = draw(st.integers(1, 12))
+    config = {
+        "sys": {"q": draw(_magnitudes()), "r": draw(_magnitudes()),
+                "a": draw(_signed()), "sigma_x2": draw(_magnitudes()), "T": T},
+        "ch": {"gamma": draw(_magnitudes()), "p_max": draw(_magnitudes())},
+        "sim": {"n_samples": draw(st.integers(1, 32)),
+                "channel_model": draw(st.sampled_from(["bernoulli", "gain_threshold"])),
+                "initial_state": draw(st.sampled_from(["gaussian", "fixed"])),
+                "x1": draw(_signed())},
+    }
+    command = draw(st.sampled_from(["optimize", "simulate", "compare"]))
+    argv = [command] + (["--horizons", f"1:{T}"] if command == "compare" else [])
+    return argv, config
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_runs())
+def test_every_failure_is_one_error_line(run):
+    # exit 0, or exit 1 with a last stderr line "error: ..."; no traceback,
+    # and no warning but the optimizer's k_max one
+    argv, config = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with redirect_stderr(err):
+            rc = main([*argv, "--config", str(path), "--out", str(Path(tmp) / "out")])
+    lines = err.getvalue().splitlines()
+    if rc == 1:
+        assert lines and lines.pop().startswith("error: ")
+    else:
+        assert rc == 0
+    for line in lines:
+        assert line.startswith("warning: optimizer stopped after "), line

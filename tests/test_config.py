@@ -15,6 +15,8 @@ def _floats(**bounds):
 
 _positive = _floats(min_value=0.0, exclude_min=True)
 _nonnegative = _floats(min_value=0.0)
+# SystemParams rejects an a, b or k whose square overflows
+_coefficient = _floats(min_value=-1e154, max_value=1e154)
 
 
 def _valid_channel(kwargs) -> bool:
@@ -41,7 +43,7 @@ def _channels(draw):
 
 _SECTIONS = {
     "sys": (SystemParams, st.fixed_dictionaries({
-        "a": _floats(), "b": _floats(), "k": _floats(), "q": _positive,
+        "a": _coefficient, "b": _coefficient, "k": _coefficient, "q": _positive,
         "r": _positive, "sigma_x2": _nonnegative, "sigma_d2": _nonnegative,
         "T": st.integers(1, 10**6)})),
     "ch": (ChannelParams, _channels().filter(_valid_channel)),

@@ -54,6 +54,11 @@ class TestMapping:
         assert power_to_success(1.0, CH) == pytest.approx(math.exp(-1), rel=1e-12)
         assert power_to_success(3.0, CH) == pytest.approx(math.exp(-1 / 3), rel=1e-12)
 
+    def test_subnormal_power_maps_to_zero_silently(self):
+        # -theta/p overflows to -inf: pi = 0, with no numpy warning
+        pi = policy_to_success([2.2e-311, 0.0, 1.0], CH)
+        assert pi.tolist() == [0.0, 0.0, math.exp(-1.0)]
+
     def test_power_domain_errors(self):
         with pytest.raises(ValueError):
             power_to_success(-0.1, CH)
@@ -121,6 +126,13 @@ class TestParamValidation:
     def test_system_invariants(self, field, value):
         with pytest.raises(ValueError, match=field):
             _sys(**{field: value})
+
+    @pytest.mark.parametrize("field", ["a", "b", "k"])
+    def test_coefficient_whose_square_overflows(self, field):
+        _sys(**{field: -1e154})   # its square, 1e308, is finite
+        with pytest.raises(ValueError, match=rf"^sys\.{field} = -1e\+200 is out of "
+                                             r"range: its square overflows$"):
+            _sys(**{field: -1e200})
 
     def test_pi_max_must_stay_below_one(self):
         # exp(-1e-17) rounds to 1: the cap's power -theta/ln(pi_max) is not finite
@@ -353,6 +365,21 @@ class TestNonFiniteMoments:
             compute_tables(s, CH, np.zeros(s.T), 1e-300)
         with pytest.raises(ValueError, match=r"tail factor .* slot t = 77 of T = 400"):
             backward_tables(s, CH, np.zeros(s.T))
+
+    def test_overflowing_tail_sum_is_named_silently(self):
+        # fbar[0] = q (1 + a^2) is just finite, fs[0] = fbar[0] + fbar[1]
+        # is not: the cumulative sum overflows without a numpy warning
+        a = math.sqrt(np.finfo(float).max / 1e300 - 1.5)
+        s = SystemParams(q=1e300, a=a, T=2)
+        with pytest.raises(ValueError, match=r"^tail factor is not finite at "
+                                             r"slot t = 1 of T = 2$"):
+            backward_tables(s, CH, np.zeros(2))
+
+    def test_overflowing_cost_is_named_silently(self):
+        # every E[x_t^2] is finite, but q E[x_t^2] overflows in the product
+        s = SystemParams(q=1e300, a=13407.8, T=30)
+        with pytest.raises(ValueError, match=r"^expected cost is not finite \(T = 30\)$"):
+            expected_cost(s, CH, np.zeros(s.T), 1.0)
 
     def test_stable_long_horizon_stays_finite(self):
         s = SystemParams(**dict(self.UNSTABLE, a=1.1, T=3000))

@@ -350,6 +350,23 @@ class TestOptimizePolicy:
         assert np.array_equal(trace.success, pi)
         assert trace.cost == expected_cost(cfg.sys, cfg.ch, pi, ex2_1)
 
+    def test_start_reads_fbar_not_its_sums(self):
+        # fbar[0] = q (1 + a^2) = 1.7975e308 is finite and so is the cost;
+        # only the unread sum fbar[0] + fbar[1] would overflow
+        a = math.sqrt(np.finfo(float).max / 1e300 - 1.5)
+        s = SystemParams(q=1e300, a=a, T=2)
+        trace = optimize_policy(s, ChannelParams(), OptimizerConfig(ex2_1=1.0))
+        assert trace.cost == pytest.approx(1.7975e308, rel=1e-4)
+        assert trace.cost == expected_cost(s, ChannelParams(), trace.success, 1.0)
+
+    def test_overflowing_cost_slope_raises(self):
+        # A_1 = ex2[0] (r k^2 + c fbar[1]) is about 1e500: no cost change of
+        # slot 1 is finite
+        s = SystemParams(q=1.0, r=1e300, a=0.5, sigma_x2=1e200, T=2)
+        with pytest.raises(ValueError, match=r"^cost slope A_t is not finite at "
+                                             r"slot t = 1 of T = 2$"):
+            optimize_policy(s, CH, OptimizerConfig())
+
     def test_overflowing_moments_raise(self):
         # the plant's second moments pass 1.8e308 long before slot 700; its
         # tail factors overflow too, from slot 377 down, and the start's
