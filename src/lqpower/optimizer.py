@@ -160,9 +160,9 @@ def _constants(scenarios, W: int) -> tuple[np.ndarray, ...]:
 
 def _candidates(consts, fbar, ex2, pi, power) -> tuple[np.ndarray, ...]:
     """Second candidate v of every slot of (S, W) tables, 0 where it does not
-    descend, the exact cost changes d0, d1 of moving the slot alone to 0
-    and to v, and the slopes A.  Where an A overflows, its d0 and d1 are
-    inf or nan."""
+    descend, and the exact cost changes d0, d1 of moving the slot alone to 0
+    and to v.  Where a slope A overflows, the smaller of d0 and d1 is -inf
+    or nan."""
     rk2, c, slope_edge, theta, slope_e2, pi_max = consts
     tail = rk2 + c * fbar[:, 1:]
     # a slot whose state is 0 almost surely moves no cost through it, even
@@ -174,7 +174,7 @@ def _candidates(consts, fbar, ex2, pi, power) -> tuple[np.ndarray, ...]:
     A_down, theta, pi_max = A[down], theta[down], pi_max[down]
     v[down] = v_down = np.fmin(_root(A_down, theta, slope_e2[down], pi_max), pi_max)
     d1[down] = (v_down - pi[down]) * A_down - theta / np.log(v_down) - power[down]
-    return v, d0, d1, A
+    return v, d0, d1
 
 
 def slot_candidates(
@@ -198,9 +198,8 @@ def slot_candidates(
     if tables.ex2 is None:
         raise ValueError("tables.ex2 missing: run the forward pass first")
     pi = np.asarray(pi, dtype=float)
-    [v], [d0], [d1], _ = _candidates(
-        _constants([(sys, ch)], len(pi)), tables.fbar[None], tables.ex2[None],
-        pi[None], _power(pi, ch)[None])
+    [v], [d0], [d1] = _candidates(_constants([(sys, ch)], len(pi)), tables.fbar[None],
+                                  tables.ex2[None], pi[None], _power(pi, ch)[None])
     return np.stack([np.zeros_like(pi), v], 1), np.stack([d0, d1], 1)
 
 
@@ -269,20 +268,20 @@ class _Batch:
         cfg.eps_cost relative.  Otherwise only the winning slot t is written and
         checked, and the row's tables rerun from it in place, T slot-steps
         in all; a row leaves unconverged at its k_max.  A row leaves with a
-        ValueError where a slope A_t or its cost overflows: run this under
+        ValueError where a slot's cost change overflows: run this under
         np.errstate(over="ignore", invalid="ignore").
         """
-        v, d0, d1, A = _candidates(self.consts, self.fbar, self.ex2, self.pi, self.power)
-        overflowed = () if np.isfinite(A).all() else set(
-            np.flatnonzero(~np.isfinite(A).all(axis=1)).tolist())
+        v, d0, d1 = _candidates(self.consts, self.fbar, self.ex2, self.pi, self.power)
         slot_cost = self.cost + np.minimum(d0, d1)
         # a later slot displaces the running winner only when strictly better
-        # beyond the tie tolerance, so only a strict prefix minimum can
-        rows, later = np.nonzero(
-            slot_cost[:, 1:] < np.fmin.accumulate(slot_cost, axis=1)[:, :-1])
+        # beyond the tie tolerance, so only a strict prefix minimum can; the
+        # running minimum ends at -inf or nan in a row where a change overflowed
+        low = np.minimum.accumulate(slot_cost, axis=1)
+        rows, later = np.nonzero(slot_cost[:, 1:] < low[:, :-1])
         later += 1
         later_cost = slot_cost[rows, later].tolist()
         rows, later, first = rows.tolist(), later.tolist(), slot_cost[:, 0].tolist()
+        lowest = low[:, -1].tolist()
         j, n, active = 0, len(rows), []
         for i in self.active:
             t, best_cost = 0, first[i]
@@ -292,10 +291,10 @@ class _Batch:
                     t, best_cost = later[j], later_cost[j]
                     bar = best_cost - TIE_TOL * abs(best_cost)
                 j += 1
-            if i in overflowed:
-                t = int(np.flatnonzero(~np.isfinite(A[i]))[0])
-                self._leave(i, ValueError(f"cost slope A_t is not finite at slot t = "
-                                          f"{t + 1} of T = {self.scenarios[i][0].T}"))
+            if not lowest[i] > -math.inf:
+                t = int(np.argmin(slot_cost[i] > -np.inf))
+                self._leave(i, ValueError(f"cost change at slot t = {t + 1} of "
+                                          f"T = {self.scenarios[i][0].T} is not finite"))
                 continue
             history = self.history[i]
             cost = history[-1]
@@ -351,7 +350,7 @@ def optimize_policies(
     batch runs before this returns; the iterator then yields the traces in
     input order, emits a scenario's k_max warning as it yields its trace,
     and raises the ValueError of the first scenario (in input order) whose
-    moments, tail factors, cost slopes or cost overflowed when it reaches
+    moments, tail factors, cost changes or cost overflowed when it reaches
     it, as optimize_policy called on each scenario in turn would.
     """
     scenarios = list(scenarios)
