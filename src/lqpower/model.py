@@ -82,8 +82,8 @@ class SystemParams:
         if self.sigma_d2 < 0:
             raise ValueError(f"sys.sigma_d2 must be >= 0 (got {self.sigma_d2})")
         for name in ("a", "b", "k"):
-            try:  # the model squares them as Python floats, which raise
-                getattr(self, name) ** 2
+            try:  # the model squares them; a Python float's square raises
+                float(getattr(self, name)) ** 2
             except OverflowError:
                 raise ValueError(f"sys.{name} = {getattr(self, name)} is out of "
                                  f"range: its square overflows") from None
@@ -250,13 +250,14 @@ def expected_cost(
     """
     pi = _checked(pi, "success", ch, sys.T)
     ex2 = forward_second_moments(sys, pi, sys.sigma_x2 if ex2_1 is None else ex2_1)
-    with np.errstate(over="ignore"):  # _total_cost names an inf cost
+    with np.errstate(over="ignore", invalid="ignore"):  # _total_cost names it
         return _total_cost(sys, pi, ex2, _power(pi, ch))
 
 
 def _total_cost(sys: SystemParams, pi: np.ndarray, ex2: np.ndarray, power) -> float:
     """The cost of pi from its second moments ex2 and its powers, _power(pi),
-    raising where it is not finite: call it with numpy's overflow quieted."""
+    raising where it is not finite: call it with numpy's overflow and
+    invalid-value warnings quieted."""
     control = float(((sys.q + sys.r * sys.k**2 * pi) * ex2).sum())
     cost = control + float(power[pi > 0].sum())
     if not math.isfinite(cost):

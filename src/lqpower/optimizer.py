@@ -64,6 +64,7 @@ __all__ = [
 TIE_TOL = 1e-12
 
 _E_MINUS_2 = float(np.exp(-2.0))
+_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -161,13 +162,16 @@ def _constants(scenarios, W: int) -> tuple[np.ndarray, ...]:
 def _candidates(consts, fbar, ex2, pi, power) -> tuple[np.ndarray, ...]:
     """Second candidate v of every slot of (S, W) tables, 0 where it does not
     descend, and the exact cost changes d0, d1 of moving the slot alone to 0
-    and to v.  Where a slope A overflows, the smaller of d0 and d1 is -inf
-    or nan."""
+    and to v."""
     rk2, c, slope_edge, theta, slope_e2, pi_max = consts
     tail = rk2 + c * fbar[:, 1:]
     # a slot whose state is 0 almost surely moves no cost through it, even
     # where its tail factor has overflowed
     A = np.multiply(ex2, tail, out=np.zeros_like(tail), where=ex2 > 0.0)
+    # a slope past the largest float ranks its moves first or last, and
+    # staying put still changes nothing (0 times an infinite A is nan); the
+    # cost of a move taken is recomputed exactly
+    np.minimum(np.maximum(A, -_MAX, out=A), _MAX, out=A)
     down = A + slope_edge < 0.0
     d0 = 0.0 - pi * A - power  # +0.0, not -0.0, at a silent slot
     v, d1 = np.zeros_like(A), d0.copy()
@@ -267,21 +271,19 @@ class _Batch:
         point, where its winner does not improve its cost by at least
         cfg.eps_cost relative.  Otherwise only the winning slot t is written and
         checked, and the row's tables rerun from it in place, T slot-steps
-        in all; a row leaves unconverged at its k_max.  A row leaves with a
-        ValueError where a slot's cost change overflows: run this under
-        np.errstate(over="ignore", invalid="ignore").
+        in all; a row leaves unconverged at its k_max.  Run this under
+        np.errstate(over="ignore", invalid="ignore"): _candidates ranks a
+        slope that overflows, and a table or cost that does raises.
         """
         v, d0, d1 = _candidates(self.consts, self.fbar, self.ex2, self.pi, self.power)
         slot_cost = self.cost + np.minimum(d0, d1)
         # a later slot displaces the running winner only when strictly better
-        # beyond the tie tolerance, so only a strict prefix minimum can; the
-        # running minimum ends at -inf or nan in a row where a change overflowed
-        low = np.minimum.accumulate(slot_cost, axis=1)
-        rows, later = np.nonzero(slot_cost[:, 1:] < low[:, :-1])
+        # beyond the tie tolerance, so only a strict prefix minimum can
+        rows, later = np.nonzero(
+            slot_cost[:, 1:] < np.fmin.accumulate(slot_cost, axis=1)[:, :-1])
         later += 1
         later_cost = slot_cost[rows, later].tolist()
         rows, later, first = rows.tolist(), later.tolist(), slot_cost[:, 0].tolist()
-        lowest = low[:, -1].tolist()
         j, n, active = 0, len(rows), []
         for i in self.active:
             t, best_cost = 0, first[i]
@@ -291,11 +293,6 @@ class _Batch:
                     t, best_cost = later[j], later_cost[j]
                     bar = best_cost - TIE_TOL * abs(best_cost)
                 j += 1
-            if not lowest[i] > -math.inf:
-                t = int(np.argmin(slot_cost[i] > -np.inf))
-                self._leave(i, ValueError(f"cost change at slot t = {t + 1} of "
-                                          f"T = {self.scenarios[i][0].T} is not finite"))
-                continue
             history = self.history[i]
             cost = history[-1]
             if not best_cost < cost - self.eps_cost * abs(cost):
@@ -350,8 +347,8 @@ def optimize_policies(
     batch runs before this returns; the iterator then yields the traces in
     input order, emits a scenario's k_max warning as it yields its trace,
     and raises the ValueError of the first scenario (in input order) whose
-    moments, tail factors, cost changes or cost overflowed when it reaches
-    it, as optimize_policy called on each scenario in turn would.
+    moments, tail factors or cost overflowed when it reaches it, as
+    optimize_policy called on each scenario in turn would.
     """
     scenarios = list(scenarios)
     policies = []
@@ -360,7 +357,7 @@ def optimize_policies(
         policy[-1] = 0.0
         policies.append(policy)
     batch = _Batch(scenarios, policies, cfg)
-    with np.errstate(over="ignore", invalid="ignore"):  # step names each overflow
+    with np.errstate(over="ignore", invalid="ignore"):  # see _Batch.step
         while batch.active:
             batch.step()
     return _delivered(batch.outcomes)
