@@ -87,6 +87,14 @@ class SystemParams:
             except OverflowError:
                 raise ValueError(f"sys.{name} = {getattr(self, name)} is out of "
                                  f"range: its square overflows") from None
+        # the recursions weigh every slot by r k^2 and c; an infinite one
+        # meets a silent slot's pi = 0 as inf * 0 = nan
+        if not math.isfinite(self.r * self.k**2):
+            raise ValueError(f"sys: r k^2 = {self.r} * {self.k}^2 is out of range: "
+                             f"the product overflows")
+        if not math.isfinite(self.closed_loop_coeff):
+            raise ValueError(f"sys: c = b^2 k^2 + 2abk is out of range at a = {self.a}, "
+                             f"b = {self.b}, k = {self.k}: it overflows")
 
     @property
     def closed_loop_coeff(self) -> float:

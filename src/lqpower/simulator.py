@@ -17,10 +17,11 @@ that are read; the perturbation of the last slot only moves the state past
 the horizon and is never drawn.  Several policies compared with common
 random numbers share one rollout and one set of draws: each column is made
 once per chunk and every policy advances its own state over it.  Scenarios
-simulated together (the horizons of a compare) also share their Gaussian
-columns, the initial state and the perturbations, since those depend on
-(seed, i, j) alone: each is made once per chunk, and a chunk holds a column
-only until the last scenario that reads it has.
+simulated together (the horizons of a compare) share their columns too,
+since a draw depends on (seed, i, j) alone: one cache per chunk makes each
+uniform column once, for the channels that read it and for the normal
+column (the initial state or a perturbation) made from it, and holds a
+column only until the last scenario that reads it has.
 """
 
 from __future__ import annotations
@@ -142,38 +143,42 @@ def _uniform_column(keys: np.ndarray, j: int) -> np.ndarray:
 # Rollout
 # ----------------------------------------------------------------------------
 
-def _normal_column(keys: np.ndarray, j: int) -> np.ndarray:
-    """Draw j of every stream in `keys` as a standard normal (exact inverse CDF)."""
-    return ndtri(_uniform_column(keys, j))
+class _Draws:
+    """The draw columns of one chunk, each made once for all its readers.
 
-
-class _Normals:
-    """The normal columns of one chunk, each made once for all its readers.
-
-    `readers` counts, per column j, the reads the chunk's scenarios will
-    make of it.  A column is made at its first read and held only until its
-    last reader takes it; only that last reader may write into it.
+    A uniform column j is `_uniform_column(keys, j)`; a normal column j is
+    the exact inverse CDF (ndtri) of uniform column j, so making it is one
+    read of that uniform.  `left` counts, per kind and column j, the reads
+    the chunk's scenarios will make of it.  A column is made at its first
+    read and held only until its last reader takes it; only that last
+    reader may write into it.
     """
 
-    def __init__(self, keys: np.ndarray, readers: Counter):
+    def __init__(self, keys: np.ndarray, uniform: Counter, normal: Counter):
         self.keys = keys
-        self.left = readers
-        self.held = {}
+        self.left = {"uniform": uniform, "normal": normal}
+        self.held = {"uniform": {}, "normal": {}}
 
-    def take(self, j: int) -> tuple[np.ndarray, bool]:
-        """Column j, and whether the caller is its last reader."""
-        column = self.held.pop(j, None)
+    def take(self, kind: str, j: int) -> tuple[np.ndarray, bool]:
+        """Column j of `kind`, and whether the caller is its last reader."""
+        held, left = self.held[kind], self.left[kind]
+        column = held.pop(j, None)
         if column is None:
-            column = _normal_column(self.keys, j)
-        self.left[j] -= 1
-        last = self.left[j] == 0
+            column = self._make(kind, j)
+        left[j] -= 1
+        last = left[j] == 0
         if not last:
-            self.held[j] = column
+            held[j] = column
         return column, last
+
+    def _make(self, kind: str, j: int) -> np.ndarray:
+        if kind == "uniform":
+            return _uniform_column(self.keys, j)
+        return ndtri(self.take("uniform", j)[0])
 
 
 class _Scenario:
-    """One scenario's policies, the normal columns it reads, and the running
+    """One scenario's policies, the draw columns it reads, and the running
     moments of each policy's cost.  Validates the policies."""
 
     def __init__(self, sys: SystemParams, ch: ChannelParams, policies,
@@ -194,6 +199,7 @@ class _Scenario:
         # reception would need -ln u >= theta/p_t > 745, and -ln u <= 54 ln 2),
         # so a slot in which no policy sends draws no channel
         self.sending = [any(pi[t] > 0.0 for pi in self.pis) for t in range(T)]
+        self.channel_draws = [1 + t for t in range(T) if self.sending[t]]
         self.sigma_d = math.sqrt(sys.sigma_d2)
         self.sigma_x = math.sqrt(sys.sigma_x2)
         # the normal columns read per chunk: x1, then the perturbations of
@@ -273,14 +279,15 @@ def monte_carlo_batch(runs, sim: SimConfig,
     n_samples, the chunking or the other scenarios.
 
     Per chunk of replications, each scenario in turn advances its policies
-    over the chunk.  A scenario makes its own channel columns, once for all
-    its policies.  A normal column (the initial state or a perturbation)
-    depends only on (seed, i, j), so it is made once per chunk for every
-    scenario that reads it, and held only until the last of them has: a
-    compare over horizons reads perturbation j at every horizon T with
-    T < j < 2T.  Each report is bit for bit the one its policy gets alone,
-    since a policy's arithmetic does not depend on the others.  Chunks'
-    moments are merged by the parallel mean/variance combination; that
+    over the chunk.  A draw column depends only on (seed, i, j), so the
+    chunk's one cache makes it once for every policy and scenario that reads
+    it, and holds it only until the last of them has: a compare over
+    horizons reads the channel of slot t at every horizon that sends in it,
+    and perturbation j at every horizon T with T < j < 2T.  A uniform column
+    serves both kinds of read: the channel of slot j, and normal column j,
+    which is made from it.  Each report is bit for bit the one its policy
+    gets alone, since a policy's arithmetic does not depend on the others.
+    Chunks' moments are merged by the parallel mean/variance combination; that
     merge rounds differently for other chunk sizes, so mean_cost and
     std_err depend on the chunk size in their last bits.
 
@@ -298,6 +305,10 @@ def monte_carlo_batch(runs, sim: SimConfig,
             error = exc
             break
     live = [s for s in scenarios if s.ps]   # a scenario without policies reads nothing
+    normal_reads = Counter(j for s in live for j in s.normal_draws)
+    # making a normal column reads its uniform once
+    uniform_reads = (Counter(j for s in live for j in s.channel_draws)
+                     + Counter(normal_reads.keys()))
     n = sim.n_samples
     gain = sim.channel_model == "gain_threshold"
     # One loop body for every chunk and scenario, not a call per scenario:
@@ -311,7 +322,7 @@ def monte_carlo_batch(runs, sim: SimConfig,
         for lo in range(0, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
             keys = _stream_keys(sim.seed, np.arange(lo, hi, dtype=np.int64))
-            normals = _Normals(keys, Counter(j for s in live for j in s.normal_draws))
+            draws = _Draws(keys, uniform_reads.copy(), normal_reads.copy())
             for s in live:
                 sys, ch, ps, pis = s.sys, s.ch, s.ps, s.pis
                 T, m = sys.T, len(ps)
@@ -321,14 +332,14 @@ def monte_carlo_batch(runs, sim: SimConfig,
                 if sim.initial_state == "fixed":
                     xs = [np.full(hi - lo, float(sim.x1))] * m
                 else:
-                    xs = [s.sigma_x * normals.take(0)[0]] * m
+                    xs = [s.sigma_x * draws.take("normal", 0)[0]] * m
                 costs = [np.zeros(hi - lo) for _ in range(m)]
                 for t in range(T):
                     last = t == T - 1
                     if s.sending[t]:
-                        c = _uniform_column(keys, 1 + t)
+                        c, own = draws.take("uniform", 1 + t)
                         if gain:   # exponential gains -gbar ln u, mean gbar
-                            c = np.log(c, out=c)
+                            c = np.log(c, out=c) if own else np.log(c)
                             c *= -ch.gbar
                     for k in range(m):
                         x = xs[k]
@@ -357,7 +368,7 @@ def monte_carlo_batch(runs, sim: SimConfig,
                         if not last:
                             xs[k] = x_next
                     if sigma_d > 0 and not last:
-                        d, own = normals.take(1 + T + t)
+                        d, own = draws.take("normal", 1 + T + t)
                         if own:
                             d *= sigma_d
                         else:   # a later scenario reads the column: leave it as made

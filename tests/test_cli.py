@@ -376,7 +376,12 @@ class TestOverflowIsOneErrorLine:
          MONTE_CARLO),
         (["optimize"], {"sys": {"q": 1e300, "a": 13407.8}, "opt": {"ex2_1": 1.0}},
          r"error: expected cost is not finite \(T = 30\)$"),
-    ], ids=["simulate-q", "simulate-sigma_x2", "compare-x1", "optimize-q"])
+        (["optimize"], {"sys": {"r": 1e308, "k": 3.0, "T": 3}},
+         r"error: sys: r k\^2 = 1e\+308 \* 3\.0\^2 is out of range"),
+        (["optimize"], {"sys": {"b": 1e100, "k": 1e100, "T": 3}},
+         r"error: sys: c = b\^2 k\^2 \+ 2abk is out of range"),
+    ], ids=["simulate-q", "simulate-sigma_x2", "compare-x1", "optimize-q",
+            "optimize-rk2", "optimize-c"])
     def test_one_error_line(self, tmp_path, capsys, argv, config, error):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -614,13 +619,17 @@ def _runs(draw):
     T = draw(st.integers(1, 12))
     config = {
         "sys": {"q": draw(_magnitudes()), "r": draw(_magnitudes()),
-                "a": draw(_signed()), "sigma_x2": draw(_magnitudes()), "T": T},
+                "a": draw(_signed()), "b": draw(_signed()), "k": draw(_signed()),
+                "sigma_x2": draw(_magnitudes()), "sigma_d2": draw(_magnitudes()),
+                "T": T},
         "ch": {"gamma": draw(_magnitudes()), "p_max": draw(_magnitudes())},
         "sim": {"n_samples": draw(st.integers(1, 32)),
                 "channel_model": draw(st.sampled_from(["bernoulli", "gain_threshold"])),
                 "initial_state": draw(st.sampled_from(["gaussian", "fixed"])),
                 "x1": draw(_signed())},
     }
+    if draw(st.booleans()):
+        config["opt"] = {"k_max": 1}
     command = draw(st.sampled_from(["optimize", "simulate", "compare"]))
     argv = [command] + (["--horizons", f"1:{T}"] if command == "compare" else [])
     return argv, config

@@ -19,15 +19,19 @@ _nonnegative = _floats(min_value=0.0)
 _coefficient = _floats(min_value=-1e154, max_value=1e154)
 
 
-def _valid_channel(kwargs) -> bool:
-    """Whether ChannelParams accepts these positive constants: it also
-    rejects a theta/p_max so small that pi_max rounds to 1, and one so large
-    (an overflowed, infinite theta among them) that pi_max rounds to 0."""
-    try:
-        ChannelParams(**kwargs)
-    except ValueError:
-        return False
-    return True
+def _accepted(cls):
+    """Whether cls accepts keyword arguments whose every value is in range
+    alone.  ChannelParams also rejects a theta/p_max so small that pi_max
+    rounds to 1, and one so large (an overflowed, infinite theta among them)
+    that pi_max rounds to 0; SystemParams rejects an r k^2 or a
+    c = b^2 k^2 + 2abk that overflows."""
+    def accepted(kwargs) -> bool:
+        try:
+            cls(**kwargs)
+        except ValueError:
+            return False
+        return True
+    return accepted
 
 
 @st.composite
@@ -45,8 +49,8 @@ _SECTIONS = {
     "sys": (SystemParams, st.fixed_dictionaries({
         "a": _coefficient, "b": _coefficient, "k": _coefficient, "q": _positive,
         "r": _positive, "sigma_x2": _nonnegative, "sigma_d2": _nonnegative,
-        "T": st.integers(1, 10**6)})),
-    "ch": (ChannelParams, _channels().filter(_valid_channel)),
+        "T": st.integers(1, 10**6)}).filter(_accepted(SystemParams))),
+    "ch": (ChannelParams, _channels().filter(_accepted(ChannelParams))),
     "opt": (OptimizerConfig, st.fixed_dictionaries({
         "k_max": st.none() | st.integers(1, 10**6), "eps_cost": _positive,
         "ex2_1": st.none() | _nonnegative,

@@ -134,6 +134,21 @@ class TestParamValidation:
                                              r"range: its square overflows$"):
             _sys(**{field: -1e200})
 
+    def test_overflowing_input_weight(self):
+        # r k^2 overflows although r and k^2 are finite; at 1e307 it does not
+        _sys(r=1e307, k=3.0, T=3)
+        with pytest.raises(ValueError, match=r"^sys: r k\^2 = 1e\+308 \* 3\.0\^2 is "
+                                             r"out of range: the product overflows$"):
+            _sys(r=1e308, k=3.0, T=3)
+
+    def test_overflowing_closed_loop_coeff(self):
+        # b^2 k^2 = 1e400 overflows although b^2 and k^2 are finite
+        _sys(b=1e100, k=1e50, T=3)
+        with pytest.raises(ValueError, match=r"^sys: c = b\^2 k\^2 \+ 2abk is out of "
+                                             r"range at a = 1\.1, b = 1e\+100, "
+                                             r"k = 1e\+100: it overflows$"):
+            _sys(b=1e100, k=1e100, T=3)
+
     def test_pi_max_must_stay_below_one(self):
         # exp(-1e-17) rounds to 1: the cap's power -theta/ln(pi_max) is not finite
         with pytest.raises(ValueError, match=r"theta/p_max = 1e-17 .* rounds to 1"):

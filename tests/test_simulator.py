@@ -413,7 +413,7 @@ def _floats(lo, hi):
 @st.composite
 def _batches(draw):
     """A SimConfig and 1..5 scenarios (sys, ch, policies) with T <= 6, so
-    that scenarios often read the same normal columns."""
+    that scenarios often read the same draw columns."""
     sim = SimConfig(
         n_samples=draw(st.integers(1, 40)),
         seed=draw(st.integers(0, 2**64 - 1)),
@@ -425,10 +425,14 @@ def _batches(draw):
         s = _sys(a=draw(_floats(0.6, 1.3)), sigma_x2=draw(_floats(0.0, 2.0)),
                  sigma_d2=draw(st.just(0.0) | _floats(0.0, 0.5)),
                  T=draw(st.integers(1, 6)))
-        power = st.just(0.0) | st.just(CH.p_max) | _floats(0.0, CH.p_max)
+        # each scenario's own channel: a gain-threshold chunk transforms a
+        # shared uniform column by several gbar, gamma and p_max
+        ch = ChannelParams(gamma=draw(_floats(0.5, 2.0)), gbar=draw(_floats(0.5, 2.0)),
+                           p_max=draw(_floats(0.5, 4.0)))
+        power = st.just(0.0) | st.just(ch.p_max) | _floats(0.0, ch.p_max)
         policies = draw(st.lists(st.lists(power, min_size=s.T, max_size=s.T),
                                  max_size=3))
-        runs.append((s, CH, policies))
+        runs.append((s, ch, policies))
     return sim, runs
 
 
@@ -452,34 +456,48 @@ def test_batch_equals_singles(batch):
 
 
 class TestBatchRollout:
-    def test_compare_makes_each_normal_column_once(self, tmp_path, monkeypatch):
-        made = []     # (first key of the chunk, j) of every normal column made
-        stores = []   # each chunk's _Normals
-        make, Normals = simmod._normal_column, simmod._Normals
+    @pytest.mark.parametrize("last", [6, 30])
+    def test_compare_makes_each_draw_column_once(self, tmp_path, monkeypatch, last):
+        uniforms, normals = [], []   # (first key of the chunk, j) of every column made
+        stores = []                  # each chunk's _Draws
+        make, Draws = simmod._uniform_column, simmod._Draws
 
         def spy(keys, j):
-            made.append((int(keys[0]), j))
+            uniforms.append((int(keys[0]), j))
             return make(keys, j)
 
-        class Recorded(Normals):
+        class Recorded(Draws):
             def __init__(self, *args):
                 super().__init__(*args)
                 stores.append(self)
 
-        monkeypatch.setattr(simmod, "_normal_column", spy)
-        monkeypatch.setattr(simmod, "_Normals", Recorded)
+            def _make(self, kind, j):
+                if kind == "normal":
+                    normals.append((int(self.keys[0]), j))
+                return super()._make(kind, j)
+
+        monkeypatch.setattr(simmod, "_uniform_column", spy)
+        monkeypatch.setattr(simmod, "_Draws", Recorded)
         monkeypatch.setattr(simmod, "_CHUNK", 4)
         cfg = load_config(preset="fig4", samples=10, output_dir=str(tmp_path))
-        run_compare(cfg, range(2, 7))
-        # three chunks of 4, 4 and 2 replications, each with x1 (j = 0) and
-        # the perturbations j = T+1..2T-1 of T = 2..6, that is j = 3..11
-        chunks = {key for key, _ in made}
+        run_compare(cfg, range(2, last + 1))
+        # three chunks of 4, 4 and 2 replications.  Full power sends in every
+        # slot, so the channels read j = 1..last; the normal columns are x1
+        # (j = 0) and the perturbations j = T+1..2T-1 of T = 2..last
+        chunks = {key for key, _ in uniforms}
         assert len(chunks) == 3 and len(stores) == 3
-        assert len(made) == len(set(made))
-        assert set(made) == {(key, j) for key in chunks for j in [0, *range(3, 12)]}
+        assert len(uniforms) == len(set(uniforms))
+        assert len(normals) == len(set(normals))
+        normal_draws = [0, *range(3, 2 * last)]
+        assert set(normals) == {(key, j) for key in chunks for j in normal_draws}
+        channel_draws = range(1, last + 1)
+        assert set(uniforms) == {(key, j) for key in chunks
+                                 for j in {*channel_draws, *normal_draws}}
+        if last == 30:   # figure fig4: 60 uniform and 58 normal columns a chunk
+            assert len(uniforms) == 3 * 60 and len(normals) == 3 * 58
         for store in stores:   # every read made, no column left held
-            assert store.held == {}
-            assert not any(store.left.values())
+            assert store.held == {"uniform": {}, "normal": {}}
+            assert not any(n for left in store.left.values() for n in left.values())
 
     def test_empty_batch(self):
         assert monte_carlo_batch([], SimConfig()) == []
