@@ -172,6 +172,7 @@ class _Draws:
         return column, last
 
     def _make(self, kind: str, j: int) -> np.ndarray:
+        """A new column j of `kind`; a normal one reads its uniform here."""
         if kind == "uniform":
             return _uniform_column(self.keys, j)
         return ndtri(self.take("uniform", j)[0])

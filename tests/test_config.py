@@ -20,11 +20,11 @@ _coefficient = _floats(min_value=-1e154, max_value=1e154)
 
 
 def _accepted(cls):
-    """Whether cls accepts keyword arguments whose every value is in range
-    alone.  ChannelParams also rejects a theta/p_max so small that pi_max
-    rounds to 1, and one so large (an overflowed, infinite theta among them)
-    that pi_max rounds to 0; SystemParams rejects an r k^2 or a
-    c = b^2 k^2 + 2abk that overflows."""
+    """A filter: whether cls accepts the drawn keyword arguments, each of
+    which is in range on its own.  ChannelParams also rejects a theta/p_max
+    so small that pi_max rounds to 1, and one so large (an overflowed,
+    infinite theta among them) that pi_max rounds to 0; SystemParams rejects
+    an r k^2 or a c = b^2 k^2 + 2abk that overflows."""
     def accepted(kwargs) -> bool:
         try:
             cls(**kwargs)
