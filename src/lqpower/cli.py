@@ -58,8 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare",
                            help="proposed vs full-power vs open-loop over horizons")
     _add_common(p_cmp, plot=True)
-    p_cmp.add_argument("--horizons", default="2:30",
-                       help="comma list and/or lo:hi ranges, e.g. 1,2,5:10")
+    p_cmp.add_argument("--horizons", default=",".join(map(str, exp.FIG4_HORIZONS)),
+                       help="comma list and/or lo:hi ranges, e.g. 1,2,5:10 "
+                            "(default: fig4's horizons)")
 
     p_sweep = sub.add_parser("sweep", help="re-optimize over one parameter")
     _add_common(p_sweep)
@@ -141,7 +142,7 @@ def _main(argv) -> int:
             res["files"].append(exp.emit_plot_script(
                 [f for f in res["files"] if f.name.startswith(kind)], kind,
                 Path(cfg.output_dir) / script, logy=logy))
-    except (exp.ConfigError, ValueError, FileNotFoundError) as exc:
+    except (exp.ConfigError, ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=_sys.stderr)
         return 1
     for f in res["files"]:

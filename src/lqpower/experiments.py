@@ -151,6 +151,8 @@ def load_config(
             raw = json.loads(Path(path).read_text())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
+        except OSError as exc:  # a directory, say
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):

@@ -101,6 +101,14 @@ class SystemParams:
         """Coefficient of pi in the second-moment factor a^2 + coeff*pi."""
         return self.b**2 * self.k**2 + 2.0 * self.a * self.b * self.k
 
+    @property
+    def _coeffs(self) -> tuple[float, float, float, float, float]:
+        """(a^2, c, q, r k^2, sigma_d2) as Python floats: what the recursion
+        kernels and the cost weights read.  The descent hands the kernels a
+        record that holds these, derived once per scenario (optimizer._Row)."""
+        return (float(self.a**2), float(self.closed_loop_coeff), float(self.q),
+                float(self.r * self.k**2), float(self.sigma_d2))
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -259,25 +267,30 @@ def expected_cost(
     pi = _checked(pi, "success", ch, sys.T)
     ex2 = forward_second_moments(sys, pi, sys.sigma_x2 if ex2_1 is None else ex2_1)
     with np.errstate(over="ignore", invalid="ignore"):  # _total_cost names it
-        return _total_cost(sys, pi, ex2, _power(pi, ch))
+        return _total_cost(_weights(sys, pi), ex2, pi, _power(pi, ch))
 
 
-def _total_cost(sys: SystemParams, pi: np.ndarray, ex2: np.ndarray, power) -> float:
-    """The cost of pi from its second moments ex2 and its powers, _power(pi),
-    raising where it is not finite: call it with numpy's overflow and
-    invalid-value warnings quieted."""
-    control = float(((sys.q + sys.r * sys.k**2 * pi) * ex2).sum())
-    cost = control + float(power[pi > 0].sum())
+def _weights(sys: SystemParams, pi: np.ndarray) -> np.ndarray:
+    """q + r k^2 pi_t, the cost's weight of E[x_t^2], in every slot."""
+    _, _, q, rk2, _ = sys._coeffs
+    return q + rk2 * pi
+
+
+def _total_cost(weight: np.ndarray, ex2: np.ndarray, pi: np.ndarray, power) -> float:
+    """The cost of pi from its weights, _weights(pi), its second moments ex2
+    and its powers, _power(pi), raising where it is not finite: call it with
+    numpy's overflow and invalid-value warnings quieted."""
+    control = float(np.add.reduce(weight * ex2))
+    cost = control + float(np.add.reduce(power[pi > 0]))
     if not math.isfinite(cost):
-        raise ValueError(f"expected cost is not finite (T = {sys.T})")
+        raise ValueError(f"expected cost is not finite (T = {len(pi)})")
     return cost
 
 
 def _backward(sys: SystemParams, pi: np.ndarray, f: float, top: int) -> list[float]:
     """fbar[top], fbar[top-1], ..., fbar[0]: the backward recursion from
     f = fbar[top+1]."""
-    a2, c, q = float(sys.a**2), float(sys.closed_loop_coeff), float(sys.q)
-    rk2 = float(sys.r * sys.k**2)
+    a2, c, q, rk2, _ = sys._coeffs
     run = []
     for p in pi[top::-1].tolist():
         f = (q + rk2 * p) + (a2 + c * p) * f
@@ -287,7 +300,7 @@ def _backward(sys: SystemParams, pi: np.ndarray, f: float, top: int) -> list[flo
 
 def _forward(sys: SystemParams, pi: np.ndarray, m: float, bottom: int) -> list[float]:
     """ex2[bottom+1], ..., ex2[T-1]: the forward recursion from m = ex2[bottom]."""
-    a2, c, sigma_d2 = float(sys.a**2), float(sys.closed_loop_coeff), float(sys.sigma_d2)
+    a2, c, _, _, sigma_d2 = sys._coeffs
     run = []
     for p in pi[bottom:-1].tolist():
         m = (a2 + c * p) * m + sigma_d2

@@ -45,6 +45,7 @@ from .model import (
     _power,
     _total_cost,
     _update_tables,
+    _weights,
     expected_cost,
     policy_to_success,
     success_to_power,
@@ -207,11 +208,32 @@ def slot_candidates(
     return np.stack([np.zeros_like(pi), v], 1), np.stack([d0, d1], 1)
 
 
+class _Row:
+    """Row i of a _Batch: its own slots of the tables, as views, and its
+    scenario's constants, derived once; once the start has set pi, also
+    the cost weights q + r k^2 pi_t of its slots, which a move keeps.  A
+    move hands it to the model's kernels in place of the SystemParams (they
+    read T, q and _coeffs) and to success_to_power in place of the
+    ChannelParams (theta, pi_max and p_max)."""
+
+    __slots__ = ("T", "q", "_coeffs", "theta", "pi_max", "p_max",
+                 "policy", "pi", "power", "fbar", "ex2", "weight")
+
+    def __init__(self, batch: _Batch, i: int, sys: SystemParams, ch: ChannelParams):
+        T = self.T = sys.T
+        self.q, self._coeffs = sys.q, sys._coeffs
+        self.theta, self.pi_max, self.p_max = ch.theta, ch.pi_max, ch.p_max
+        self.policy, self.pi, self.power = (
+            batch.policy[i, :T], batch.pi[i, :T], batch.power[i, :T])
+        self.fbar, self.ex2 = batch.fbar[i, :T + 1], batch.ex2[i, :T]
+
+
 class _Batch:
     """The incumbents of S scenarios, one row each of (S, W) tables.
 
     W is the longest horizon.  Row i's scenario, scenarios[i] = (sys, ch),
-    owns the first T slots of its row (fbar: T + 1 entries), beside its
+    owns the first T slots of its row (fbar: T + 1 entries), which rows[i]
+    holds as views beside the scenario's constants, and beside them its
     exact cost cost[i], its cost history history[i] and its k_max[i].
     Slots past a row's T, and every slot of a row that has left, hold
     ex2 = fbar = 0 and power -inf: A is 0 there, so they never descend, and
@@ -222,7 +244,7 @@ class _Batch:
 
     def __init__(self, scenarios, policies, cfg: OptimizerConfig):
         S, W = len(scenarios), max((sys.T for sys, _ in scenarios), default=0)
-        self.scenarios, self.eps_cost = scenarios, cfg.eps_cost
+        self.eps_cost = cfg.eps_cost
         self.consts = _constants(scenarios, W)
         self.policy, self.pi, self.ex2 = np.zeros((S, W)), np.zeros((S, W)), np.zeros((S, W))
         self.power, self.fbar = np.full((S, W), -np.inf), np.zeros((S, W + 1))
@@ -231,19 +253,21 @@ class _Batch:
         self.k_max = [max(200, 10 * sys.T) if cfg.k_max is None else cfg.k_max
                       for sys, _ in scenarios]
         self.outcomes: list[OptimizationTrace | ValueError | None] = [None] * S
+        self.rows = [_Row(self, i, sys, ch) for i, (sys, ch) in enumerate(scenarios)]
         self.active = []
         for i, ((sys, ch), policy) in enumerate(zip(scenarios, policies)):
             ex2_1 = sys.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1
-            T = sys.T
+            row = self.rows[i]
             try:
                 pi = policy_to_success(policy, ch)
                 cost = expected_cost(sys, ch, pi, ex2_1)  # moments checked before tails
-                self.pi[i, :T], self.ex2[i, 0] = pi, ex2_1
-                _fill_tables(sys, self.pi[i, :T], self.fbar[i, :T + 1], self.ex2[i, :T])
+                row.pi[:], row.ex2[0] = pi, ex2_1
+                _fill_tables(row, row.pi, row.fbar, row.ex2)
             except ValueError as exc:
                 self._leave(i, exc)
                 continue
-            self.policy[i, :T], self.power[i, :T] = policy, _power(pi, ch)
+            row.policy[:], row.power[:] = policy, _power(pi, ch)
+            row.weight = _weights(sys, pi)
             self.cost[i], self.history[i] = cost, [cost]
             self.active.append(i)
 
@@ -253,10 +277,10 @@ class _Batch:
         self.fbar[i], self.ex2[i], self.power[i] = 0.0, 0.0, -np.inf
 
     def _trace(self, i: int, converged: bool) -> OptimizationTrace:
-        T, history = self.scenarios[i][0].T, self.history[i]
+        history = self.history[i]
         return OptimizationTrace(
-            policy=self.policy[i, :T].copy(),
-            success=self.pi[i, :T].copy(),
+            policy=self.rows[i].policy.copy(),
+            success=self.rows[i].pi.copy(),
             cost_history=np.asarray(history),
             iterations=len(history) - 1,
             converged=converged,
@@ -299,21 +323,22 @@ class _Batch:
                 history.append(cost)
                 self._leave(i, self._trace(i, True))
                 continue
-            sys, ch = self.scenarios[i]
-            T = sys.T
-            pi, ex2 = self.pi[i, :T], self.ex2[i, :T]
-            p = success_to_power(float(v[i, t]) if d1[i, t] < d0[i, t] else 0.0, ch)
+            row = self.rows[i]
+            p = success_to_power(float(v[i, t]) if d1[i, t] < d0[i, t] else 0.0, row)
+            theta, pi = row.theta, row.pi
             # policy_to_success's np.exp, as pi_max's: p <= p_max keeps pi <= pi_max
-            self.policy[i, t], pi[t] = p, (np.exp(-ch.theta / p) if p > 0 else 0.0)
-            self.power[i, t] = -ch.theta / np.log(pi[t]) if pi[t] > 0 else 0.0
+            pi_t = np.exp(-theta / p) if p > 0 else 0.0
+            _, _, q, rk2, _ = row._coeffs
+            row.policy[t], pi[t], row.weight[t] = p, pi_t, q + rk2 * pi_t
+            row.power[t] = -theta / np.log(pi_t) if pi_t > 0 else 0.0
             try:
-                _update_tables(sys, pi, self.fbar[i, :T + 1], ex2, t)
-                cost = _total_cost(sys, pi, ex2, self.power[i, :T])
+                _update_tables(row, pi, row.fbar, row.ex2, t)
+                cost = _total_cost(row.weight, row.ex2, pi, row.power)
             except ValueError as exc:
                 self._leave(i, exc)
                 continue
             history.append(cost)
-            self.cost[i] = cost
+            self.cost[i, 0] = cost
             if len(history) > self.k_max[i]:
                 self._leave(i, self._trace(i, False))
             else:

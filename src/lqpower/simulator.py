@@ -185,15 +185,15 @@ class _Scenario:
     def __init__(self, sys: SystemParams, ch: ChannelParams, policies,
                  sim: SimConfig, return_samples: bool):
         T = sys.T
-        self.ps, self.pis = [], []
+        self.ps, self.pis = [], []   # each policy's powers and pis as lists of floats
         for i, policy in enumerate(policies):
             p = np.asarray(policy, dtype=float)
             pi = policy_to_success(p, ch)  # validates p
             if len(p) != T:
                 raise ValueError(
                     f"policy {i} has length {len(p)}, expected T = {T}")
-            self.ps.append(p)
-            self.pis.append(pi)
+            self.ps.append(p.tolist())
+            self.pis.append(pi.tolist())
         m = len(self.ps)
         self.sys, self.ch = sys, ch
         # pi_t = 0 receives nothing on either channel model (a gain-threshold
@@ -213,8 +213,9 @@ class _Scenario:
         self.count = 0
         self.mean = [0.0] * m
         self.m2 = [0.0] * m
-        self.state_sum = np.zeros((m, T))
-        self.input_sum = np.zeros((m, T))
+        # per policy and slot, the sums over replications of q x^2 and r u^2
+        self.state_sum = [[0.0] * T for _ in range(m)]
+        self.input_sum = [[0.0] * T for _ in range(m)]
         self.all_samples = [[] for _ in range(m)]
 
     def merge(self, costs: list[np.ndarray]) -> None:
@@ -245,8 +246,8 @@ class _Scenario:
         for k, p in enumerate(self.ps):
             std_err = (math.sqrt(self.m2[k] / (count - 1)) / math.sqrt(count)
                        if count > 1 else 0.0)
-            per_slot = np.column_stack(
-                [self.state_sum[k] / count, self.input_sum[k] / count, p])
+            per_slot = np.column_stack([np.array(self.state_sum[k]) / count,
+                                        np.array(self.input_sum[k]) / count, p])
             if not (math.isfinite(self.mean[k]) and math.isfinite(std_err)
                     and np.isfinite(per_slot).all()):
                 raise ValueError(
@@ -312,6 +313,7 @@ def monte_carlo_batch(runs, sim: SimConfig,
                      + Counter(normal_reads.keys()))
     n = sim.n_samples
     gain = sim.channel_model == "gain_threshold"
+    add = np.add.reduce   # a float64 array's sum, as ndarray.sum takes it
     # One loop body for every chunk and scenario, not a call per scenario:
     # each array it makes lives until the next scenario or chunk replaces
     # it, so one scenario allocates and frees as a plain loop over chunks
@@ -326,6 +328,7 @@ def monte_carlo_batch(runs, sim: SimConfig,
             draws = _Draws(keys, uniform_reads.copy(), normal_reads.copy())
             for s in live:
                 sys, ch, ps, pis = s.sys, s.ch, s.ps, s.pis
+                state_sum, input_sum = s.state_sum, s.input_sum
                 T, m = sys.T, len(ps)
                 q, a, sigma_d = sys.q, sys.a, s.sigma_d
                 rk2 = sys.r * sys.k**2
@@ -345,7 +348,7 @@ def monte_carlo_batch(runs, sim: SimConfig,
                     for k in range(m):
                         x = xs[k]
                         state = q * x * x
-                        s.state_sum[k, t] += state.sum()
+                        state_sum[k][t] += add(state)
                         if not last:
                             x_next = a * x
                         if pis[k][t] > 0.0:
@@ -359,12 +362,14 @@ def monte_carlo_batch(runs, sim: SimConfig,
                             # state that is not finite, which makes the mean raise
                             xz = x * z
                             inp = rk2 * xz * xz
-                            s.input_sum[k, t] += inp.sum()
+                            input_sum[k][t] += add(inp)
                             state += inp
                             if not last:
                                 xz *= bk
                                 x_next += xz
-                        state += ps[k][t]
+                        # state is +0 or more (or nan): adding a power of 0 is a no-op
+                        if ps[k][t] != 0.0:
+                            state += ps[k][t]
                         costs[k] += state
                         if not last:
                             xs[k] = x_next

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lqpower import optimizer
-from lqpower.cli import main
+from lqpower.cli import _parse_horizons, build_parser, main
 from lqpower.experiments import (
+    FIG4_HORIZONS,
+    SWEEP_PARAMETERS,
     ConfigError,
     PRESETS,
     _fmt,
@@ -307,6 +309,10 @@ class TestCompareCommand:
         _, rows = _read_csv(tmp_path / "comparison.csv")
         assert [int(r[0]) for r in rows] == [2, 4, 5, 6]
 
+    def test_default_horizons_are_fig4s(self):
+        args = build_parser().parse_args(["compare"])
+        assert _parse_horizons(args.horizons) == list(FIG4_HORIZONS)
+
     def test_bad_horizon(self, tmp_path, capsys):
         rc = main(["compare", "--preset", "fig4", "--horizons", "0",
                    "--out", str(tmp_path)])
@@ -388,6 +394,27 @@ class TestOverflowIsOneErrorLine:
         assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         [line] = capsys.readouterr().err.splitlines()
         assert re.match(error, line)
+
+
+class TestPathErrors:
+    """A path the run cannot use ends it with one "error:" line naming the
+    path, and no file is written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--out", "taken"],        # a file where the directory goes
+        ["optimize", "--out", "taken/sub"],    # below a file
+        ["optimize", "--config", "folder"],    # a directory as the config
+    ], ids=["out-is-a-file", "out-below-a-file", "config-is-a-directory"])
+    def test_one_error_line(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+        (tmp_path / "folder").mkdir()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: ") and argv[-1] in err[-1]
+        assert "Traceback" not in "\n".join(err)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["folder", "taken"]
+        assert (tmp_path / "taken").read_text() == ""
 
 
 class TestSweepCommand:
@@ -613,6 +640,29 @@ def _signed():
         lambda sm: sm[0] * sm[1])
 
 
+def _near_one():
+    # theta = gamma sigma2 / gbar: most draws leave sigma2 and gbar at 1, so
+    # that most channels load
+    return st.one_of(st.just(1.0), st.just(1.0), _magnitudes())
+
+
+# A swept value that makes no valid scenario for any sweep parameter: not
+# finite, or a negative whose square overflows.
+_INVALID_SWEEP_VALUES = ("nan", "-inf", "-1e308")
+
+
+@st.composite
+def _sweep_values(draw):
+    """--values for a sweep: drawn values, and in half of the lists an
+    invalid one between two of them."""
+    values = [repr(v) for v in draw(st.lists(_signed(), min_size=1, max_size=3))]
+    if draw(st.booleans()):
+        values = [repr(draw(_signed())), *values]
+        values.insert(draw(st.integers(1, len(values) - 1)),
+                      draw(st.sampled_from(_INVALID_SWEEP_VALUES)))
+    return ",".join(values)
+
+
 @st.composite
 def _runs(draw):
     """A command line and a config of extreme but finite floats, T <= 12."""
@@ -622,7 +672,8 @@ def _runs(draw):
                 "a": draw(_signed()), "b": draw(_signed()), "k": draw(_signed()),
                 "sigma_x2": draw(_magnitudes()), "sigma_d2": draw(_magnitudes()),
                 "T": T},
-        "ch": {"gamma": draw(_magnitudes()), "p_max": draw(_magnitudes())},
+        "ch": {"gamma": draw(_magnitudes()), "sigma2": draw(_near_one()),
+               "gbar": draw(_near_one()), "p_max": draw(_magnitudes())},
         "sim": {"n_samples": draw(st.integers(1, 32)),
                 "channel_model": draw(st.sampled_from(["bernoulli", "gain_threshold"])),
                 "initial_state": draw(st.sampled_from(["gaussian", "fixed"])),
@@ -630,8 +681,14 @@ def _runs(draw):
     }
     if draw(st.booleans()):
         config["opt"] = {"k_max": 1}
-    command = draw(st.sampled_from(["optimize", "simulate", "compare"]))
-    argv = [command] + (["--horizons", f"1:{T}"] if command == "compare" else [])
+    command = draw(st.sampled_from(["optimize", "simulate", "compare", "sweep"]))
+    argv = [command]
+    if command == "compare":
+        argv += ["--horizons", f"1:{T}"]
+    elif command == "sweep":
+        # "--values=": argparse reads a separate "-0.5,1" as an option
+        argv += ["--param", draw(st.sampled_from(SWEEP_PARAMETERS)),
+                 f"--values={draw(_sweep_values())}"]
     return argv, config
 
 
