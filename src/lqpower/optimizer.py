@@ -212,9 +212,9 @@ class _Row:
     """Row i of a _Batch: its own slots of the tables, as views, and its
     scenario's constants, derived once; once the start has set pi, also
     the cost weights q + r k^2 pi_t of its slots, which a move keeps.  A
-    move hands it to the model's kernels in place of the SystemParams (they
-    read T, q and _coeffs) and to success_to_power in place of the
-    ChannelParams (theta, pi_max and p_max)."""
+    move hands it to _update_tables in place of the SystemParams (the model
+    reads T and _coeffs; q names the scenario) and to success_to_power in
+    place of the ChannelParams (theta, pi_max and p_max)."""
 
     __slots__ = ("T", "q", "_coeffs", "theta", "pi_max", "p_max",
                  "policy", "pi", "power", "fbar", "ex2", "weight")

@@ -53,6 +53,14 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="unknown key opt.root_tol"):
             load_config(path=path)
 
+    @pytest.mark.parametrize("section,key", [
+        ("sys", "_coeffs"), ("sys", "closed_loop_coeff"), ("ch", "theta"), ("ch", "pi_max")])
+    def test_derived_constants_are_not_keys(self, tmp_path, section, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({section: {key: 1.0}}))
+        with pytest.raises(ConfigError, match=rf"unknown key {section}\.{key}"):
+            load_config(path=path)
+
     @pytest.mark.parametrize("section,key,value", [
         ("sys", "T", 30.7), ("opt", "k_max", 2.5), ("sim", "seed", 1.9)])
     def test_integer_fields_refuse_to_truncate(self, tmp_path, section, key, value):
