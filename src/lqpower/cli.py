@@ -7,7 +7,8 @@
     lqpower figure    {fig2|fig3|fig4} [--plot] [--out DIR]
 
 Exit status is 0 on success; any invalid input produces a single
-"error: ..." line on stderr and a nonzero exit.  Each warning, such as an
+"error: ..." line on stderr and a nonzero exit (2 for a command line that
+does not parse, 1 for any other error).  Each warning, such as an
 optimizer run that stops at k_max short of a fixed point, prints one
 "warning: ..." line on stderr and changes neither the exit status nor the
 output files.
@@ -16,6 +17,7 @@ output files.
 from __future__ import annotations
 
 import argparse
+import re
 import sys as _sys
 import warnings
 from pathlib import Path
@@ -33,6 +35,23 @@ _PLOTS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with each usage error one "error: ..." line and exit 2.
+
+    A separate value that starts with "-" and then a digit, a dot, inf or
+    nan (--values -0.5,1) is read as a value, not as an unknown option: no
+    option of this CLI looks like that.  argparse alone reads only a plain
+    negative number, such as -0.5, as a value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _add_common(parser: argparse.ArgumentParser, plot: bool = False) -> None:
     parser.add_argument("--config", help="JSON experiment config")
     parser.add_argument("--out", help="output directory (overrides config)")
@@ -46,7 +65,7 @@ def _add_common(parser: argparse.ArgumentParser, plot: bool = False) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lqpower",
         description="Energy-efficient transmit-power policies for remote LQ control")
     sub = parser.add_subparsers(dest="command", required=True)

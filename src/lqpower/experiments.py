@@ -312,7 +312,9 @@ def run_compare(cfg: ExperimentConfig, horizons) -> dict:
     of draws (common random numbers), so the comparison is deterministic
     given the config and each policy's statistics are those it gets alone.
     The first failure in horizon order is raised, whether the descent or
-    the Monte Carlo of its horizon failed.  Writes comparison.csv.
+    the Monte Carlo of its horizon failed.  Writes comparison.csv, which
+    prints each policy's mean cost and standard error only, so the rollout
+    keeps no per-slot sums and the reports carry no per_slot.
     """
     horizons = [int(T) for T in horizons]
     for T in horizons:
@@ -328,7 +330,8 @@ def run_compare(cfg: ExperimentConfig, horizons) -> dict:
     except ValueError as exc:   # the horizons before it still simulate, and fail first
         error = exc
     rows, results = [], []
-    for T, trace, reports in zip(horizons, traces, monte_carlo_batch(runs, cfg.sim)):
+    batch = monte_carlo_batch(runs, cfg.sim, per_slot=False)
+    for T, trace, reports in zip(horizons, traces, batch):
         reports = dict(zip(("proposed", "full", "open"), reports))
         rows.append([T, *(x for rep in reports.values()
                           for x in (rep.mean_cost, rep.std_err))])

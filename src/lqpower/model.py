@@ -48,6 +48,11 @@ __all__ = [
 # Parameter containers
 # ----------------------------------------------------------------------------
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, but not a bool, which Python counts as an int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_finite(params, section: str, names: tuple[str, ...]) -> None:
     """Reject NaN and infinite values, naming the key."""
     for name in names:
@@ -75,7 +80,7 @@ class SystemParams:
             raise ValueError(f"sys.q must be > 0 (got {self.q})")
         if not self.r > 0:
             raise ValueError(f"sys.r must be > 0 (got {self.r})")
-        if not (isinstance(self.T, (int, np.integer)) and self.T >= 1):
+        if not (_is_integer(self.T) and self.T >= 1):
             raise ValueError(f"sys.T must be an integer >= 1 (got {self.T})")
         if self.sigma_x2 < 0:
             raise ValueError(f"sys.sigma_x2 must be >= 0 (got {self.sigma_x2})")

@@ -42,6 +42,7 @@ from .model import (
     RecursionTables,
     SystemParams,
     _fill_tables,
+    _is_integer,
     _power,
     _total_cost,
     _update_tables,
@@ -79,8 +80,7 @@ class OptimizerConfig:
     init: str = "zero"        # starting policy: "zero" or "full"
 
     def __post_init__(self):
-        if not (self.k_max is None or (
-                isinstance(self.k_max, (int, np.integer)) and self.k_max >= 1)):
+        if not (self.k_max is None or (_is_integer(self.k_max) and self.k_max >= 1)):
             raise ValueError(
                 f"opt.k_max must be null or an integer >= 1 (got {self.k_max})")
         if not 0 < self.eps_cost < math.inf:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .model import ChannelParams, SystemParams, policy_to_success
+from .model import ChannelParams, SystemParams, _is_integer, policy_to_success
 
 __all__ = [
     "SimConfig",
@@ -68,7 +68,7 @@ class SimConfig:
     x1: float = 1.0                     # initial state when fixed
 
     def __post_init__(self):
-        if not (isinstance(self.n_samples, (int, np.integer)) and self.n_samples >= 1):
+        if not (_is_integer(self.n_samples) and self.n_samples >= 1):
             raise ValueError(
                 f"sim.n_samples must be an integer >= 1 (got {self.n_samples})")
         if self.channel_model not in _CHANNEL_MODELS:
@@ -79,8 +79,7 @@ class SimConfig:
             raise ValueError(
                 f"sim.initial_state must be one of {_INITIAL_STATES} "
                 f"(got {self.initial_state!r})")
-        if not (isinstance(self.seed, (int, np.integer))
-                and 0 <= int(self.seed) <= _U64_MASK):
+        if not (_is_integer(self.seed) and 0 <= int(self.seed) <= _U64_MASK):
             raise ValueError(
                 f"sim.seed must be an integer in [0, 2**64 - 1] (got {self.seed!r})")
         if not math.isfinite(self.x1):
@@ -92,14 +91,15 @@ class SimReport:
     """Aggregated Monte Carlo cost statistics for one policy.
 
     per_slot has one row per slot with columns (mean q x_t^2, mean r u_t^2,
-    p_t); mean_cost equals the grand total of per_slot up to rounding.
-    std_err is the standard error of mean_cost; with a single replication it
-    is undefined and reported as 0.0 with std_err_valid = False.
+    p_t); mean_cost equals the grand total of per_slot up to rounding.  It
+    is None when the rollout was asked for no per-slot sums.  std_err is the
+    standard error of mean_cost; with a single replication it is undefined
+    and reported as 0.0 with std_err_valid = False.
     """
 
     mean_cost: float
     std_err: float
-    per_slot: np.ndarray
+    per_slot: np.ndarray | None
     n_samples: int
     std_err_valid: bool = True
     samples: np.ndarray | None = None
@@ -183,7 +183,7 @@ class _Scenario:
     moments of each policy's cost.  Validates the policies."""
 
     def __init__(self, sys: SystemParams, ch: ChannelParams, policies,
-                 sim: SimConfig, return_samples: bool):
+                 sim: SimConfig, return_samples: bool, per_slot: bool):
         T = sys.T
         self.ps, self.pis = [], []   # each policy's powers and pis as lists of floats
         for i, policy in enumerate(policies):
@@ -213,9 +213,10 @@ class _Scenario:
         self.count = 0
         self.mean = [0.0] * m
         self.m2 = [0.0] * m
-        # per policy and slot, the sums over replications of q x^2 and r u^2
-        self.state_sum = [[0.0] * T for _ in range(m)]
-        self.input_sum = [[0.0] * T for _ in range(m)]
+        # per policy and slot, the sums over replications of q x^2 and r u^2;
+        # None when no report carries them
+        self.state_sum = [[0.0] * T for _ in range(m)] if per_slot else None
+        self.input_sum = [[0.0] * T for _ in range(m)] if per_slot else None
         self.all_samples = [[] for _ in range(m)]
 
     def merge(self, costs: list[np.ndarray]) -> None:
@@ -246,10 +247,12 @@ class _Scenario:
         for k, p in enumerate(self.ps):
             std_err = (math.sqrt(self.m2[k] / (count - 1)) / math.sqrt(count)
                        if count > 1 else 0.0)
-            per_slot = np.column_stack([np.array(self.state_sum[k]) / count,
-                                        np.array(self.input_sum[k]) / count, p])
+            per_slot = None
+            if self.state_sum is not None:
+                per_slot = np.column_stack([np.array(self.state_sum[k]) / count,
+                                            np.array(self.input_sum[k]) / count, p])
             if not (math.isfinite(self.mean[k]) and math.isfinite(std_err)
-                    and np.isfinite(per_slot).all()):
+                    and (per_slot is None or np.isfinite(per_slot).all())):
                 raise ValueError(
                     f"Monte Carlo cost statistics are not finite (T = {T}, "
                     f"policy {k}): a state or a cost overflowed")
@@ -265,8 +268,8 @@ class _Scenario:
         return reports
 
 
-def monte_carlo_batch(runs, sim: SimConfig,
-                      return_samples: bool = False) -> list[list[SimReport]]:
+def monte_carlo_batch(runs, sim: SimConfig, return_samples: bool = False,
+                      per_slot: bool = True) -> list[list[SimReport]]:
     """Average `sim.n_samples` replications of each policy of each scenario.
 
     `runs` holds (sys, ch, policies) triples; the result holds one list of
@@ -293,16 +296,25 @@ def monte_carlo_batch(runs, sim: SimConfig,
     merge rounds differently for other chunk sizes, so mean_cost and
     std_err depend on the chunk size in their last bits.
 
+    With per_slot=False the rollout keeps no per-slot sums and each
+    report's per_slot is None; mean_cost, std_err and samples are the same
+    bits either way.
+
     Raises the first failure in input order, as one scenario at a time
     would: a ValueError for a policy that is not valid or not of length T
     (naming its index), and a ValueError naming T and the policy's index
-    when a policy's mean cost, its standard error or a per-slot mean is not
-    finite (a state, a cost or the square of a cost overflowed).
+    when a policy's mean cost, its standard error or, with per_slot, a
+    per-slot mean is not finite (a state, a cost or the square of a cost
+    overflowed).  Within one chunk a per-slot sum that is not finite makes
+    the mean not finite too, since every cost term is >= 0; across chunks
+    the per-slot sums can overflow while the mean and std_err stay finite,
+    so that case raises only with per_slot.
     """
     scenarios, error = [], None
     for sys, ch, policies in runs:
         try:
-            scenarios.append(_Scenario(sys, ch, policies, sim, return_samples))
+            scenarios.append(_Scenario(sys, ch, policies, sim, return_samples,
+                                       per_slot))
         except ValueError as exc:
             error = exc
             break
@@ -348,7 +360,8 @@ def monte_carlo_batch(runs, sim: SimConfig,
                     for k in range(m):
                         x = xs[k]
                         state = q * x * x
-                        state_sum[k][t] += add(state)
+                        if per_slot:
+                            state_sum[k][t] += add(state)
                         if not last:
                             x_next = a * x
                         if pis[k][t] > 0.0:
@@ -362,7 +375,8 @@ def monte_carlo_batch(runs, sim: SimConfig,
                             # state that is not finite, which makes the mean raise
                             xz = x * z
                             inp = rk2 * xz * xz
-                            input_sum[k][t] += add(inp)
+                            if per_slot:
+                                input_sum[k][t] += add(inp)
                             state += inp
                             if not last:
                                 xz *= bk

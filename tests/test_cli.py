@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import re
 import tempfile
 from contextlib import redirect_stderr
@@ -403,6 +404,24 @@ class TestOverflowIsOneErrorLine:
         [line] = capsys.readouterr().err.splitlines()
         assert re.match(error, line)
 
+    def test_compare_keeps_no_per_slot_sums(self, tmp_path, capsys):
+        # q x1^2 = 3.969e303 in every slot of every replication: the per-slot
+        # sums of two 32,768-replication chunks overflow, the means do not.
+        # compare prints the means; simulate also writes the per-slot means
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "sys": {"k": 0.0, "T": 1},
+            "sim": {"initial_state": "fixed", "x1": 6.3e151, "n_samples": 65_536}}))
+        common = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(["compare", "--horizons", "1", *common]) == 0
+        _, [[T, *cells]] = _read_csv(tmp_path / "out" / "comparison.csv")
+        assert T == "1" and all(float(c) < math.inf for c in cells)
+        capsys.readouterr()
+        assert main(["simulate", *common]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: Monte Carlo cost statistics are not finite (T = 1, policy 0): "
+            "a state or a cost overflowed"]
+
 
 class TestPathErrors:
     """A path the run cannot use ends it with one "error:" line naming the
@@ -423,6 +442,47 @@ class TestPathErrors:
         assert "Traceback" not in "\n".join(err)
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["folder", "taken"]
         assert (tmp_path / "taken").read_text() == ""
+
+
+class TestUsageErrors:
+    """A command line that does not parse ends the run with one "error:" line
+    on stderr and exit status 2, and writes nothing."""
+
+    @pytest.mark.parametrize("argv,error", [
+        ([], "error: the following arguments are required: command"),
+        (["plot"], "error: argument command: invalid choice: 'plot'"),
+        (["sweep", "--param", "q"],
+         "error: the following arguments are required: --values"),
+        (["sweep", "--param", "q", "--values"],
+         "error: argument --values: expected one argument"),
+        (["simulate", "--seed", "x"], "error: argument --seed: invalid int value: 'x'"),
+        (["optimize", "--horizons", "2"], "error: unrecognized arguments: --horizons 2"),
+    ])
+    def test_one_error_line(self, tmp_path, capsys, monkeypatch, argv, error):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        [line] = err.splitlines()
+        assert out == "" and line.startswith(error)
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("values", ["-0.5,1", "-1e-3", "-.5", "-inf,1", "-nan"])
+    def test_negative_value_as_its_own_token(self, tmp_path, capsys, values):
+        # a value that starts with "-" is a value, not an unknown option: the
+        # run is the one "--values=..." makes
+        runs = []
+        for name, tokens in (("sep", ["--values", values]), ("eq", [f"--values={values}"])):
+            rc = main(["sweep", "--param", "a", "--out", str(tmp_path / name), *tokens])
+            files = {p.name: p.read_bytes() for p in (tmp_path / name).glob("*")}
+            runs.append((rc, capsys.readouterr().err, files))
+        assert runs[0] == runs[1]
+        rc, err, files = runs[0]
+        if "n" in values:   # -inf and -nan make no valid plant
+            assert rc == 1 and err.startswith("error: sys.a must be finite")
+        else:
+            assert rc == 0 and err == "" and "index.csv" in files
 
 
 class TestSweepCommand:
@@ -694,27 +754,40 @@ def _runs(draw):
     if command == "compare":
         argv += ["--horizons", f"1:{T}"]
     elif command == "sweep":
-        # "--values=": argparse reads a separate "-0.5,1" as an option
         argv += ["--param", draw(st.sampled_from(SWEEP_PARAMETERS)),
-                 f"--values={draw(_sweep_values())}"]
+                 "--values", draw(_sweep_values())]
     return argv, config
+
+
+# The files a failed run must not have written: each needs every result
+# before it.  A sweep's earlier values and a simulate's descent keep theirs.
+_NOT_WRITTEN_ON_FAILURE = {
+    "optimize": {"policy.csv", "trace.csv"},
+    "simulate": {"report.csv", "per_slot.csv"},
+    "compare": {"comparison.csv"},
+    "sweep": {"index.csv"},
+}
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(_runs())
 def test_every_failure_is_one_error_line(run):
-    # exit 0, or exit 1 with a last stderr line "error: ..."; no traceback,
-    # and no warning but the optimizer's k_max one
+    # exit 0, or exit 1 with a last stderr line "error: ..." and none of the
+    # files that need the failed result; no traceback, and no warning but
+    # the optimizer's k_max one
     argv, config = run
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(config))
+        out = Path(tmp) / "out"
         err = io.StringIO()
         with redirect_stderr(err):
-            rc = main([*argv, "--config", str(path), "--out", str(Path(tmp) / "out")])
+            rc = main([*argv, "--config", str(path), "--out", str(out)])
+        written = {p.name for p in out.iterdir()} if out.exists() else set()
     lines = err.getvalue().splitlines()
     if rc == 1:
         assert lines and lines.pop().startswith("error: ")
+        assert not written & _NOT_WRITTEN_ON_FAILURE[argv[0]], written
     else:
         assert rc == 0
     for line in lines:

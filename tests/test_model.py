@@ -120,7 +120,7 @@ class TestMapping:
 
 class TestParamValidation:
     @pytest.mark.parametrize("field,value", [
-        ("q", 0.0), ("q", -1.0), ("r", 0.0), ("T", 0),
+        ("q", 0.0), ("q", -1.0), ("r", 0.0), ("T", 0), ("T", True),
         ("sigma_x2", -0.1), ("sigma_d2", -0.1),
     ])
     def test_system_invariants(self, field, value):

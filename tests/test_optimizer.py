@@ -427,6 +427,8 @@ class TestOptimizePolicy:
             OptimizerConfig(k_max=0)
         with pytest.raises(ValueError, match="k_max"):
             OptimizerConfig(k_max=2.5)
+        with pytest.raises(ValueError, match=r"opt\.k_max .* \(got True\)"):
+            OptimizerConfig(k_max=True)   # a bool is an int to Python
         with pytest.raises(ValueError, match="eps_cost"):
             OptimizerConfig(eps_cost=0.0)
         with pytest.raises(ValueError, match="init"):

@@ -397,6 +397,20 @@ class TestSharedRollout:
         with pytest.raises(ValueError, match=r"\(T = 400, policy 0\)"):
             monte_carlo_batch([(s, CH, [bad, good])], sim)
 
+    def test_per_slot_sums_overflow_across_chunks(self):
+        # q x1^2 = 3.969e303 in every replication and slot: a chunk's state
+        # sum, 32,768 of them, is 1.3e308 and finite, but the two chunks'
+        # total overflows, while the mean and its zero spread stay finite
+        s = _sys(k=0.0, T=1)
+        sim = SimConfig(n_samples=65_536, initial_state="fixed", x1=6.3e151)
+        runs = [(s, CH, [[0.0], [CH.p_max], [0.0]])]
+        reports = monte_carlo_batch(runs, sim, per_slot=False)[0]
+        for report in reports:
+            assert report.mean_cost == pytest.approx(3.969e303)
+            assert report.std_err == 0.0 and report.per_slot is None
+        with pytest.raises(ValueError, match=r"\(T = 1, policy 0\)"):
+            monte_carlo_batch(runs, sim)
+
     def test_policy_length_names_the_policy(self):
         s = _sys(T=3)
         with pytest.raises(ValueError, match="policy 1 has length 2"):
@@ -437,12 +451,14 @@ def _batches(draw):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
-@given(_batches())
-def test_batch_equals_singles(batch):
-    # chunks of 7 replications: up to 40 replications cross chunk boundaries
+@given(_batches(), st.booleans())
+def test_batch_equals_singles(batch, per_slot):
+    # chunks of 7 replications: up to 40 replications cross chunk boundaries.
+    # The singles keep their per-slot sums; a batch without them must give
+    # the same bits for everything else
     sim, runs = batch
     with mock.patch.object(simmod, "_CHUNK", 7):
-        together = monte_carlo_batch(runs, sim, return_samples=True)
+        together = monte_carlo_batch(runs, sim, return_samples=True, per_slot=per_slot)
         alone = [monte_carlo_batch([run], sim, return_samples=True)[0] for run in runs]
     assert len(together) == len(runs)
     for got_reports, want_reports in zip(together, alone):
@@ -451,7 +467,10 @@ def test_batch_equals_singles(batch):
             assert got.mean_cost == want.mean_cost
             assert got.std_err == want.std_err
             assert got.std_err_valid == want.std_err_valid
-            assert np.array_equal(got.per_slot, want.per_slot)
+            if per_slot:
+                assert np.array_equal(got.per_slot, want.per_slot)
+            else:
+                assert got.per_slot is None
             assert np.array_equal(got.samples, want.samples)
 
 
@@ -548,9 +567,10 @@ class TestBaselines:
 
 
 class TestSimConfigValidation:
-    def test_bad_samples(self):
-        with pytest.raises(ValueError, match="n_samples"):
-            SimConfig(n_samples=0)
+    @pytest.mark.parametrize("n_samples", [0, True])
+    def test_bad_samples(self, n_samples):
+        with pytest.raises(ValueError, match=rf"sim\.n_samples .* \(got {n_samples}\)"):
+            SimConfig(n_samples=n_samples)
 
     def test_bad_channel_model(self):
         with pytest.raises(ValueError, match="channel_model"):
@@ -565,10 +585,10 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match="initial_state"):
             SimConfig(initial_state="uniform")
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 3 + 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 3 + 2**64, False])
     def test_seed_outside_u64(self, seed):
         # the streams take the seed as a u64: a wrapped seed would replay
-        # another seed's draws
+        # another seed's draws; a bool is an int to Python, but no seed
         with pytest.raises(ValueError, match=r"sim\.seed must be an integer "
                                              r"in \[0, 2\*\*64 - 1\]"):
             SimConfig(seed=seed)
