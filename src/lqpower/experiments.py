@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ChannelParams, SystemParams
+from .model import ChannelParams, SystemParams, _is_real
 from .optimizer import OptimizerConfig, optimize_policies, optimize_policy
 from .simulator import SimConfig, baseline_policy, monte_carlo_batch, monte_carlo_cost
 
@@ -62,7 +62,7 @@ _SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)
 
 def _number(value):
     # float() and int() would take true as 1 and "2.5" as 2.5
-    if isinstance(value, (bool, str)):
+    if not _is_real(value):
         raise TypeError("not a JSON number")
     return value
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,12 +54,23 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _require_finite(params, section: str, names: tuple[str, ...]) -> None:
-    """Reject NaN and infinite values, naming the key."""
+def _is_real(value) -> bool:
+    """An int, a float or a numpy real, but not a bool, which Python counts as an int."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
+def _require_finite(params, section: str, names: tuple[str, ...], bound: str = "") -> None:
+    """Reject booleans, non-numbers, NaN and infinite values and, given the
+    bound "> 0" or ">= 0", values outside it, naming the key."""
     for name in names:
         value = getattr(params, name)
+        if not _is_real(value):
+            raise ValueError(f"{section}.{name} must be a real number (got {value!r})")
         if not math.isfinite(value):
             raise ValueError(f"{section}.{name} must be finite (got {value})")
+        if bound and not (value > 0 or bound == ">= 0" and value == 0):
+            raise ValueError(f"{section}.{name} must be {bound} (got {value})")
 
 
 @dataclass(frozen=True)
@@ -75,17 +87,11 @@ class SystemParams:
     T: int = 30             # horizon, >= 1
 
     def __post_init__(self):
-        _require_finite(self, "sys", ("a", "b", "k", "q", "r", "sigma_x2", "sigma_d2"))
-        if not self.q > 0:
-            raise ValueError(f"sys.q must be > 0 (got {self.q})")
-        if not self.r > 0:
-            raise ValueError(f"sys.r must be > 0 (got {self.r})")
+        _require_finite(self, "sys", ("a", "b", "k"))
+        _require_finite(self, "sys", ("q", "r"), "> 0")
+        _require_finite(self, "sys", ("sigma_x2", "sigma_d2"), ">= 0")
         if not (_is_integer(self.T) and self.T >= 1):
             raise ValueError(f"sys.T must be an integer >= 1 (got {self.T})")
-        if self.sigma_x2 < 0:
-            raise ValueError(f"sys.sigma_x2 must be >= 0 (got {self.sigma_x2})")
-        if self.sigma_d2 < 0:
-            raise ValueError(f"sys.sigma_d2 must be >= 0 (got {self.sigma_d2})")
         for name in ("a", "b", "k"):
             try:  # the model squares them; a Python float's square raises
                 float(getattr(self, name)) ** 2
@@ -94,10 +100,11 @@ class SystemParams:
                                  f"range: its square overflows") from None
         # the recursions weigh every slot by r k^2 and c; an infinite one
         # meets a silent slot's pi = 0 as inf * 0 = nan
-        if not math.isfinite(self.r * self.k**2):
+        _, c, _, rk2, _ = self._coeffs
+        if not math.isfinite(rk2):
             raise ValueError(f"sys: r k^2 = {self.r} * {self.k}^2 is out of range: "
                              f"the product overflows")
-        if not math.isfinite(self.closed_loop_coeff):
+        if not math.isfinite(c):
             raise ValueError(f"sys: c = b^2 k^2 + 2abk is out of range at a = {self.a}, "
                              f"b = {self.b}, k = {self.k}: it overflows")
 
@@ -106,11 +113,10 @@ class SystemParams:
         """Coefficient of pi in the second-moment factor a^2 + coeff*pi."""
         return self.b**2 * self.k**2 + 2.0 * self.a * self.b * self.k
 
-    @property
+    @cached_property
     def _coeffs(self) -> tuple[float, float, float, float, float]:
         """(a^2, c, q, r k^2, sigma_d2) as Python floats: what the recursion
-        kernels and the cost weights read.  The descent hands the kernels a
-        record that holds these, derived once per scenario (optimizer._Row)."""
+        kernels, the cost weights, the descent and the rollout read."""
         return (float(self.a**2), float(self.closed_loop_coeff), float(self.q),
                 float(self.r * self.k**2), float(self.sigma_d2))
 
@@ -131,22 +137,19 @@ class ChannelParams:
     p_max: float = 3.0      # transmit power cap
 
     def __post_init__(self):
-        _require_finite(self, "ch", ("gamma", "sigma2", "gbar", "p_max"))
-        for name in ("gamma", "sigma2", "gbar", "p_max"):
-            if not getattr(self, name) > 0:
-                raise ValueError(
-                    f"ch.{name} must be > 0 (got {getattr(self, name)})")
-        pi_max = self.pi_max  # 0 also for an infinite theta
-        if not 0 < pi_max < 1:  # else the cap's power -theta/ln(pi_max) is inf or 0
-            raise ValueError(f"ch: theta/p_max = {self.theta / self.p_max} is out "
-                             f"of range: pi_max = exp(-theta/p_max) rounds to {pi_max:g}")
+        _require_finite(self, "ch", ("gamma", "sigma2", "gbar", "p_max"), "> 0")
+        # pi_max is 0 also for an infinite theta; outside (0, 1) the cap's
+        # power -theta/ln(pi_max) is inf or 0
+        if not 0 < self.pi_max < 1:
+            raise ValueError(f"ch: theta/p_max = {self.theta / self.p_max} is out of "
+                             f"range: pi_max = exp(-theta/p_max) rounds to {self.pi_max:g}")
 
-    @property
+    @cached_property
     def theta(self) -> float:
-        """Derived ratio gamma*sigma2/gbar; never stored independently."""
+        """Derived ratio gamma*sigma2/gbar; not a field."""
         return self.gamma * self.sigma2 / self.gbar
 
-    @property
+    @cached_property
     def pi_max(self) -> float:
         """Largest success probability: policy_to_success's image of p_max."""
         return float(np.exp(-self.theta / self.p_max))

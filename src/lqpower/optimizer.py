@@ -16,15 +16,17 @@ descends monotonically.  This is the only descent rule; optimize_policies
 runs it over many scenarios at once, and optimize_policy is its batch of one.
 A batch holds one incumbent per scenario as a row of (S, W) float64 tables,
 W the longest horizon: the policy, its pi and powers, its fbar and ex2
-tables, and beside them each row's exact cost and cost history.  At the
-start the cost is expected_cost's, and the row's tables take one backward
-and one forward pass, checked as a move's are.  Each iteration scores all
-rows still descending with one set of array operations; then each row
-adopts its own move: writing slot t* reruns, in place on the row, the
-backward pass from t* down to slot 0 and the forward pass from t* to T-1,
-T slot-steps bit-equal to full tables, plus O(T) array work.  The moved
-slot's pi comes from the same np.exp as policy_to_success and pi_max, so a
-move to the cap stays within it.
+tables.  Each row keeps its scenario's own SystemParams and ChannelParams,
+which derive their constants (a^2, c, r k^2, theta, pi_max) once, and
+beside them its exact cost and cost history.  At the start the cost is
+expected_cost's, and the row's tables take one backward and one forward
+pass, checked as a move's are.  Each iteration scores all rows still
+descending with one set of array operations; then each row adopts its own
+move: writing slot t* reruns, in place on the row, the backward pass from
+t* down to slot 0 and the forward pass from t* to T-1, T slot-steps
+bit-equal to full tables, plus O(T) array work.  The moved slot's pi comes
+from the same np.exp as policy_to_success and pi_max, so a move to the cap
+stays within it.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .model import (
     SystemParams,
     _fill_tables,
     _is_integer,
+    _is_real,
     _power,
     _total_cost,
     _update_tables,
@@ -83,12 +86,12 @@ class OptimizerConfig:
         if not (self.k_max is None or (_is_integer(self.k_max) and self.k_max >= 1)):
             raise ValueError(
                 f"opt.k_max must be null or an integer >= 1 (got {self.k_max})")
-        if not 0 < self.eps_cost < math.inf:
+        if not (_is_real(self.eps_cost) and 0 < self.eps_cost < math.inf):
             raise ValueError(
-                f"opt.eps_cost must be a finite number > 0 (got {self.eps_cost})")
-        if self.ex2_1 is not None and not 0 <= self.ex2_1 < math.inf:
+                f"opt.eps_cost must be a finite number > 0 (got {self.eps_cost!r})")
+        if not (self.ex2_1 is None or _is_real(self.ex2_1) and 0 <= self.ex2_1 < math.inf):
             raise ValueError(
-                f"opt.ex2_1 must be null or a finite number >= 0 (got {self.ex2_1})")
+                f"opt.ex2_1 must be null or a finite number >= 0 (got {self.ex2_1!r})")
         if self.init not in ("zero", "full"):
             raise ValueError(f"opt.init must be 'zero' or 'full' (got {self.init!r})")
 
@@ -151,10 +154,10 @@ def _constants(scenarios, W: int) -> tuple[np.ndarray, ...]:
     (S, W) tables, for the entries a mask picks."""
     rows = []
     for sys, ch in scenarios:
+        _, c, _, rk2, _ = sys._coeffs
         theta, pi_max = ch.theta, ch.pi_max
         pi_edge = min(_E_MINUS_2, pi_max)
-        rows.append((sys.r * sys.k**2, sys.closed_loop_coeff,
-                     theta / (pi_edge * math.log(pi_edge) ** 2),
+        rows.append((rk2, c, theta / (pi_edge * math.log(pi_edge) ** 2),
                      theta, theta * math.e**2 / 4.0, pi_max))
     columns = np.array(rows).reshape(-1, 6).T[:, :, None]  # six (S, 1), even at S = 0
     return (*columns[:3], *(np.repeat(col, W, axis=1) for col in columns[3:]))
@@ -209,34 +212,38 @@ def slot_candidates(
 
 
 class _Row:
-    """Row i of a _Batch: its own slots of the tables, as views, and its
-    scenario's constants, derived once; once the start has set pi, also
-    the cost weights q + r k^2 pi_t of its slots, which a move keeps.  A
-    move hands it to _update_tables in place of the SystemParams (the model
-    reads T and _coeffs; q names the scenario) and to success_to_power in
-    place of the ChannelParams (theta, pi_max and p_max)."""
+    """Row i of a _Batch: its scenario's own sys and ch, which hold its
+    constants, its own slots of the tables, as views, its cost history and
+    its k_max; once the start has set pi, also the cost weights
+    q + r k^2 pi_t of its slots, which a move keeps current."""
 
-    __slots__ = ("T", "q", "_coeffs", "theta", "pi_max", "p_max",
-                 "policy", "pi", "power", "fbar", "ex2", "weight")
+    __slots__ = ("sys", "ch", "policy", "pi", "power", "fbar", "ex2", "weight",
+                 "history", "k_max")
 
-    def __init__(self, batch: _Batch, i: int, sys: SystemParams, ch: ChannelParams):
-        T = self.T = sys.T
-        self.q, self._coeffs = sys.q, sys._coeffs
-        self.theta, self.pi_max, self.p_max = ch.theta, ch.pi_max, ch.p_max
+    def __init__(self, batch: _Batch, i: int, sys: SystemParams, ch: ChannelParams,
+                 k_max: int):
+        T = sys.T
+        self.sys, self.ch, self.history, self.k_max = sys, ch, [], k_max
         self.policy, self.pi, self.power = (
             batch.policy[i, :T], batch.pi[i, :T], batch.power[i, :T])
         self.fbar, self.ex2 = batch.fbar[i, :T + 1], batch.ex2[i, :T]
+
+    def trace(self, converged: bool) -> OptimizationTrace:
+        return OptimizationTrace(policy=self.policy.copy(), success=self.pi.copy(),
+                                 cost_history=np.asarray(self.history),
+                                 iterations=len(self.history) - 1, converged=converged)
 
 
 class _Batch:
     """The incumbents of S scenarios, one row each of (S, W) tables.
 
     W is the longest horizon.  Row i's scenario, scenarios[i] = (sys, ch),
-    owns the first T slots of its row (fbar: T + 1 entries), which rows[i]
-    holds as views beside the scenario's constants, and beside them its
-    exact cost cost[i], its cost history history[i] and its k_max[i].
-    Slots past a row's T, and every slot of a row that has left, hold
-    ex2 = fbar = 0 and power -inf: A is 0 there, so they never descend, and
+    owns the first T slots of its row (fbar: T + 1 entries); rows[i] holds
+    them as views beside sys, ch, the cost history and the k_max, and
+    cost[i] holds the row's exact cost.  The scorer reads the constants of
+    every row as columns, consts, taken from sys and ch once.  Slots past a
+    row's T, and every slot of a row that has left, hold ex2 = fbar = 0 and
+    power -inf: A is 0 there, so they never descend, and
     d0 = 0 - pi A - power = +inf keeps them out of the scan.  outcomes[i] is
     row i's trace once it has left at a fixed point or at its k_max, or the
     ValueError it raised; None while it descends.
@@ -249,42 +256,31 @@ class _Batch:
         self.policy, self.pi, self.ex2 = np.zeros((S, W)), np.zeros((S, W)), np.zeros((S, W))
         self.power, self.fbar = np.full((S, W), -np.inf), np.zeros((S, W + 1))
         self.cost = np.zeros((S, 1))
-        self.history: list[list[float]] = [[] for _ in range(S)]
-        self.k_max = [max(200, 10 * sys.T) if cfg.k_max is None else cfg.k_max
-                      for sys, _ in scenarios]
         self.outcomes: list[OptimizationTrace | ValueError | None] = [None] * S
-        self.rows = [_Row(self, i, sys, ch) for i, (sys, ch) in enumerate(scenarios)]
-        self.active = []
+        self.rows, self.active = [], []
         for i, ((sys, ch), policy) in enumerate(zip(scenarios, policies)):
+            k_max = max(200, 10 * sys.T) if cfg.k_max is None else cfg.k_max
+            row = _Row(self, i, sys, ch, k_max)
+            self.rows.append(row)
             ex2_1 = sys.sigma_x2 if cfg.ex2_1 is None else cfg.ex2_1
-            row = self.rows[i]
             try:
                 pi = policy_to_success(policy, ch)
                 cost = expected_cost(sys, ch, pi, ex2_1)  # moments checked before tails
                 row.pi[:], row.ex2[0] = pi, ex2_1
-                _fill_tables(row, row.pi, row.fbar, row.ex2)
+                _fill_tables(sys, row.pi, row.fbar, row.ex2)
             except ValueError as exc:
                 self._leave(i, exc)
                 continue
             row.policy[:], row.power[:] = policy, _power(pi, ch)
             row.weight = _weights(sys, pi)
-            self.cost[i], self.history[i] = cost, [cost]
+            self.cost[i] = cost
+            row.history.append(cost)
             self.active.append(i)
 
     def _leave(self, i: int, outcome) -> None:
         """Row i leaves with its outcome; its tables stop taking part."""
         self.outcomes[i] = outcome
         self.fbar[i], self.ex2[i], self.power[i] = 0.0, 0.0, -np.inf
-
-    def _trace(self, i: int, converged: bool) -> OptimizationTrace:
-        history = self.history[i]
-        return OptimizationTrace(
-            policy=self.rows[i].policy.copy(),
-            success=self.rows[i].pi.copy(),
-            cost_history=np.asarray(history),
-            iterations=len(history) - 1,
-            converged=converged,
-        )
 
     def step(self) -> None:
         """Move every active row by its best single-coordinate replacement, if any.
@@ -317,30 +313,30 @@ class _Batch:
                     t, best_cost = later[j], later_cost[j]
                     bar = best_cost - TIE_TOL * abs(best_cost)
                 j += 1
-            history = self.history[i]
+            row = self.rows[i]
+            history = row.history
             cost = history[-1]
             if not best_cost < cost - self.eps_cost * abs(cost):
                 history.append(cost)
-                self._leave(i, self._trace(i, True))
+                self._leave(i, row.trace(True))
                 continue
-            row = self.rows[i]
-            p = success_to_power(float(v[i, t]) if d1[i, t] < d0[i, t] else 0.0, row)
-            theta, pi = row.theta, row.pi
+            sys, ch, pi = row.sys, row.ch, row.pi
+            p = success_to_power(float(v[i, t]) if d1[i, t] < d0[i, t] else 0.0, ch)
             # policy_to_success's np.exp, as pi_max's: p <= p_max keeps pi <= pi_max
-            pi_t = np.exp(-theta / p) if p > 0 else 0.0
-            _, _, q, rk2, _ = row._coeffs
+            pi_t = np.exp(-ch.theta / p) if p > 0 else 0.0
+            _, _, q, rk2, _ = sys._coeffs
             row.policy[t], pi[t], row.weight[t] = p, pi_t, q + rk2 * pi_t
-            row.power[t] = -theta / np.log(pi_t) if pi_t > 0 else 0.0
+            row.power[t] = -ch.theta / np.log(pi_t) if pi_t > 0 else 0.0
             try:
-                _update_tables(row, pi, row.fbar, row.ex2, t)
+                _update_tables(sys, pi, row.fbar, row.ex2, t)
                 cost = _total_cost(row.weight, row.ex2, pi, row.power)
             except ValueError as exc:
                 self._leave(i, exc)
                 continue
             history.append(cost)
             self.cost[i, 0] = cost
-            if len(history) > self.k_max[i]:
-                self._leave(i, self._trace(i, False))
+            if len(history) > row.k_max:
+                self._leave(i, row.trace(False))
             else:
                 active.append(i)
         self.active = active

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .model import ChannelParams, SystemParams, _is_integer, policy_to_success
+from .model import (ChannelParams, SystemParams, _is_integer, _require_finite,
+                    policy_to_success)
 
 __all__ = [
     "SimConfig",
@@ -82,8 +83,7 @@ class SimConfig:
         if not (_is_integer(self.seed) and 0 <= int(self.seed) <= _U64_MASK):
             raise ValueError(
                 f"sim.seed must be an integer in [0, 2**64 - 1] (got {self.seed!r})")
-        if not math.isfinite(self.x1):
-            raise ValueError(f"sim.x1 must be finite (got {self.x1})")
+        _require_finite(self, "sim", ("x1",))
 
 
 @dataclass
@@ -342,8 +342,7 @@ def monte_carlo_batch(runs, sim: SimConfig, return_samples: bool = False,
                 sys, ch, ps, pis = s.sys, s.ch, s.ps, s.pis
                 state_sum, input_sum = s.state_sum, s.input_sum
                 T, m = sys.T, len(ps)
-                q, a, sigma_d = sys.q, sys.a, s.sigma_d
-                rk2 = sys.r * sys.k**2
+                q, a, sigma_d, rk2 = sys.q, sys.a, s.sigma_d, sys._coeffs[3]
                 bk = sys.b * sys.k
                 if sim.initial_state == "fixed":
                     xs = [np.full(hi - lo, float(sim.x1))] * m

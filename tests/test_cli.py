@@ -733,7 +733,8 @@ def _sweep_values(draw):
 
 @st.composite
 def _runs(draw):
-    """A command line and a config of extreme but finite floats, T <= 12."""
+    """A command line and a config of extreme but finite floats, T <= 12
+    (figure fig4 runs its own horizons, 2..30)."""
     T = draw(st.integers(1, 12))
     config = {
         "sys": {"q": draw(_magnitudes()), "r": draw(_magnitudes()),
@@ -749,27 +750,39 @@ def _runs(draw):
     }
     if draw(st.booleans()):
         config["opt"] = {"k_max": 1}
-    command = draw(st.sampled_from(["optimize", "simulate", "compare", "sweep"]))
+    command = draw(st.sampled_from(["optimize", "simulate", "compare", "sweep", "figure"]))
     argv = [command]
     if command == "compare":
         argv += ["--horizons", f"1:{T}"]
     elif command == "sweep":
         argv += ["--param", draw(st.sampled_from(SWEEP_PARAMETERS)),
                  "--values", draw(_sweep_values())]
+    elif command == "figure":
+        argv.append(draw(st.sampled_from(["fig2", "fig3", "fig4"])))
+        # a figure runs many scenarios, any of which can fail: keep sim and
+        # some of the other drawn sections, the figure's preset filling in
+        config = {name: part for name, part in config.items()
+                  if name == "sim" or draw(st.booleans())}
+    if command in ("optimize", "compare", "figure") and draw(st.booleans()):
+        argv.append("--plot")
     return argv, config
 
 
-# The files a failed run must not have written: each needs every result
-# before it.  A sweep's earlier values and a simulate's descent keep theirs.
+# The files a failed run must not have written, by command or figure: each
+# needs every result before it, as does a --plot script (*.gp).  A sweep's
+# earlier values, fig2's earlier variants and a simulate's descent keep theirs.
 _NOT_WRITTEN_ON_FAILURE = {
     "optimize": {"policy.csv", "trace.csv"},
     "simulate": {"report.csv", "per_slot.csv"},
     "compare": {"comparison.csv"},
     "sweep": {"index.csv"},
+    "fig2": {"index.csv"},
+    "fig3": {"index.csv"},
+    "fig4": {"comparison.csv"},
 }
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(_runs())
 def test_every_failure_is_one_error_line(run):
     # exit 0, or exit 1 with a last stderr line "error: ..." and none of the
@@ -787,7 +800,9 @@ def test_every_failure_is_one_error_line(run):
     lines = err.getvalue().splitlines()
     if rc == 1:
         assert lines and lines.pop().startswith("error: ")
-        assert not written & _NOT_WRITTEN_ON_FAILURE[argv[0]], written
+        kind = argv[1] if argv[0] == "figure" else argv[0]
+        assert not written & _NOT_WRITTEN_ON_FAILURE[kind], written
+        assert not any(name.endswith(".gp") for name in written), written
     else:
         assert rc == 0
     for line in lines:

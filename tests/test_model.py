@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,29 @@ class TestMapping:
         # the one power -> success map takes the cap to pi_max
         assert ch.pi_max == policy_to_success([ch.p_max], ch)[0]
         assert 0.0 < ch.pi_max < 1.0
+
+    def test_cached_constants_follow_the_fields(self):
+        # replace builds a new object, which derives its own constants
+        ch = replace(CH, p_max=1.5)
+        assert ch.pi_max == float(np.exp(-ch.theta / 1.5)) != CH.pi_max
+        sys = replace(_sys(), k=2.0)
+        assert sys._coeffs[3] == 0.5 * 2.0**2 != _sys()._coeffs[3]
+
+    def test_cached_constants_are_not_fields(self):
+        # each object stores its derived constants once read, outside the
+        # fields that ==, hash and asdict see: a twin whose stored constants
+        # differ still compares, hashes and converts the same
+        for obj, names in [(ChannelParams(gamma=2.0, p_max=1.5), {"theta", "pi_max"}),
+                           (_sys(a=0.9), {"_coeffs"})]:
+            before = hash(obj), asdict(obj)
+            for name in names:
+                getattr(obj, name)
+            assert (hash(obj), asdict(obj)) == before
+            assert names <= set(vars(obj)) and not names & set(asdict(obj))
+            twin = replace(obj)
+            for name in names:
+                vars(twin)[name] = None
+            assert twin == obj and (hash(twin), asdict(twin)) == before
 
     def test_power_to_success_values(self):
         assert power_to_success(0.0, CH) == 0.0
@@ -119,13 +143,18 @@ class TestMapping:
 
 
 class TestParamValidation:
-    @pytest.mark.parametrize("field,value", [
-        ("q", 0.0), ("q", -1.0), ("r", 0.0), ("T", 0), ("T", True),
-        ("sigma_x2", -0.1), ("sigma_d2", -0.1),
+    @pytest.mark.parametrize("field,value,bound", [
+        ("q", 0.0, "> 0"), ("q", -1.0, "> 0"), ("r", 0.0, "> 0"),
+        ("T", 0, "an integer >= 1"), ("T", True, "an integer >= 1"),
+        ("sigma_x2", -0.1, ">= 0"), ("sigma_d2", -0.1, ">= 0"),
     ])
-    def test_system_invariants(self, field, value):
-        with pytest.raises(ValueError, match=field):
+    def test_system_invariants(self, field, value, bound):
+        with pytest.raises(ValueError,
+                           match=rf"^sys\.{field} must be {bound} \(got {value}\)$"):
             _sys(**{field: value})
+
+    def test_variances_may_be_zero(self):
+        assert _sys(sigma_x2=0.0, sigma_d2=0.0).sigma_x2 == 0.0
 
     @pytest.mark.parametrize("field", ["a", "b", "k"])
     def test_coefficient_whose_square_overflows(self, field):
@@ -170,16 +199,19 @@ class TestParamValidation:
         with pytest.raises(ValueError, match=field):
             ChannelParams(**kw)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True, False, np.True_,
+                                       "2.5"])
     @pytest.mark.parametrize("section,field", [
         *[("sys", f) for f in ("a", "b", "k", "q", "r", "sigma_x2", "sigma_d2")],
         *[("ch", f) for f in ("gamma", "sigma2", "gbar", "p_max")],
     ])
     def test_non_finite_rejected(self, section, field, value):
+        # a bool is an int to Python, and float("2.5") would parse
         make = _sys if section == "sys" else (
-            lambda **kw: ChannelParams(**{**vars(CH), **kw}))
+            lambda **kw: ChannelParams(**{**asdict(CH), **kw}))
+        must = "finite" if isinstance(value, float) else "a real number"
         with pytest.raises(ValueError,
-                           match=rf"^{section}\.{field} must be finite \(got {value}\)$"):
+                           match=rf"^{section}\.{field} must be {must} \(got {value!r}\)$"):
             make(**{field: value})
 
     def test_success_vector_range(self):

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -433,9 +433,12 @@ class TestOptimizePolicy:
             OptimizerConfig(eps_cost=0.0)
         with pytest.raises(ValueError, match="init"):
             OptimizerConfig(init="warm")
-        for bad in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match=r"opt\.ex2_1 .* finite"):
+        for bad in (-1.0, math.nan, math.inf, True, False, "2.5"):
+            with pytest.raises(ValueError, match=rf"opt\.ex2_1 .* finite .* \(got {bad!r}\)"):
                 OptimizerConfig(ex2_1=bad)
+        for bad in (True, False, "2.5"):   # a bool is an int to Python
+            with pytest.raises(ValueError, match=rf"opt\.eps_cost .* \(got {bad!r}\)"):
+                OptimizerConfig(eps_cost=bad)
 
 
 class TestFullStart:
@@ -648,6 +651,35 @@ class TestOptimizePolicies:
 
     def test_empty_batch(self):
         assert list(optimize_policies([], CFG)) == []
+
+    def test_rows_hold_their_own_scenarios(self, monkeypatch):
+        # the model's table passes and success_to_power get the scenario's
+        # own SystemParams and ChannelParams, never a record that copies them
+        scenarios = [(NOMINAL, CH), (replace(NOMINAL, k=1.8, sigma_d2=0.05, T=12),
+                                     ChannelParams(p_max=0.4))]
+        seen = {"_fill_tables": [], "_update_tables": [], "success_to_power": []}
+        for name, at in [("_fill_tables", 0), ("_update_tables", 0), ("success_to_power", 1)]:
+            def spy(*args, _seen=seen[name], _at=at, _original=getattr(optimizer, name)):
+                _seen.append(args[_at])
+                return _original(*args)
+            monkeypatch.setattr(optimizer, name, spy)
+        batch = optimizer._Batch(scenarios, [np.zeros(s.T) for s, _ in scenarios], CFG)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while batch.active:
+                batch.step()
+        assert all(isinstance(o, optimizer.OptimizationTrace) for o in batch.outcomes)
+        systems, channels = [s for s, _ in scenarios], [ch for _, ch in scenarios]
+        for name, own in [("_fill_tables", systems), ("_update_tables", systems),
+                          ("success_to_power", channels)]:
+            assert {id(x) for x in seen[name]} == {id(x) for x in own}, name
+        assert all(row.sys is s and row.ch is ch
+                   for row, (s, ch) in zip(batch.rows, scenarios))
+        # a row copies no parameter field or derived constant, and the batch
+        # keeps no per-row list beside its rows
+        copies = {f.name for f in fields(SystemParams) + fields(ChannelParams)}
+        copies |= {"_coeffs", "closed_loop_coeff", "theta", "pi_max"}
+        assert not copies & set(optimizer._Row.__slots__)
+        assert not hasattr(batch, "history") and not hasattr(batch, "k_max")
 
     def test_first_failure_in_input_order_raises_after_the_rows_before_it(self):
         # the T = 700 row overflows at its start; the rows before it yield

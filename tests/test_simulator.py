@@ -581,6 +581,13 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match=r"sim\.x1 must be finite"):
             SimConfig(initial_state="fixed", x1=x1)
 
+    @pytest.mark.parametrize("x1", [True, False, "2.5"])
+    def test_x1_must_be_a_number(self, x1):
+        # a bool is an int to Python
+        with pytest.raises(ValueError,
+                           match=rf"^sim\.x1 must be a real number \(got {x1!r}\)$"):
+            SimConfig(initial_state="fixed", x1=x1)
+
     def test_bad_initial_state(self):
         with pytest.raises(ValueError, match="initial_state"):
             SimConfig(initial_state="uniform")
