@@ -162,7 +162,8 @@ def _main(argv) -> int:
             res["files"].append(exp.emit_plot_script(
                 [f for f in res["files"] if f.name.startswith(kind)], kind,
                 Path(cfg.output_dir) / script, logy=logy))
-    except (exp.ConfigError, ValueError, OSError) as exc:  # OSError: an unwritable --out
+    # OSError: an unwritable --out; MemoryError: a horizon too long to allocate
+    except (exp.ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
     for f in res["files"]:

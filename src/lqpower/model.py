@@ -60,14 +60,23 @@ def _is_real(value) -> bool:
             and not isinstance(value, bool))
 
 
+def _float(value) -> float:
+    """float(value) of a real value; an int too large for a float is +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _require_finite(params, section: str, names: tuple[str, ...], bound: str = "") -> None:
-    """Reject booleans, non-numbers, NaN and infinite values and, given the
-    bound "> 0" or ">= 0", values outside it, naming the key."""
+    """Reject booleans, non-numbers, NaN and infinite values (ints too large
+    for a float among them) and, given the bound "> 0" or ">= 0", values
+    outside it, naming the key."""
     for name in names:
         value = getattr(params, name)
         if not _is_real(value):
             raise ValueError(f"{section}.{name} must be a real number (got {value!r})")
-        if not math.isfinite(value):
+        if not math.isfinite(_float(value)):
             raise ValueError(f"{section}.{name} must be finite (got {value})")
         if bound and not (value > 0 or bound == ">= 0" and value == 0):
             raise ValueError(f"{section}.{name} must be {bound} (got {value})")
@@ -357,7 +366,7 @@ def _fill_tables(sys: SystemParams, pi: np.ndarray, fbar: np.ndarray,
 def _moments(sys: SystemParams, pi: np.ndarray, ex2_1: float) -> np.ndarray:
     """ex2 over the whole horizon from E[x_1^2] = ex2_1, not yet checked for
     overflow."""
-    if not 0 <= ex2_1 < math.inf:
+    if not (_is_real(ex2_1) and 0 <= _float(ex2_1) < math.inf):
         raise ValueError(f"ex2_1 must be a finite number >= 0 (got {ex2_1})")
     ex2 = np.empty(len(pi))
     ex2[0] = ex2_1

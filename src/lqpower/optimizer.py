@@ -44,6 +44,7 @@ from .model import (
     RecursionTables,
     SystemParams,
     _fill_tables,
+    _float,
     _is_integer,
     _is_real,
     _power,
@@ -86,10 +87,11 @@ class OptimizerConfig:
         if not (self.k_max is None or (_is_integer(self.k_max) and self.k_max >= 1)):
             raise ValueError(
                 f"opt.k_max must be null or an integer >= 1 (got {self.k_max})")
-        if not (_is_real(self.eps_cost) and 0 < self.eps_cost < math.inf):
+        if not (_is_real(self.eps_cost) and 0 < _float(self.eps_cost) < math.inf):
             raise ValueError(
                 f"opt.eps_cost must be a finite number > 0 (got {self.eps_cost!r})")
-        if not (self.ex2_1 is None or _is_real(self.ex2_1) and 0 <= self.ex2_1 < math.inf):
+        if not (self.ex2_1 is None
+                or _is_real(self.ex2_1) and 0 <= _float(self.ex2_1) < math.inf):
             raise ValueError(
                 f"opt.ex2_1 must be null or a finite number >= 0 (got {self.ex2_1!r})")
         if self.init not in ("zero", "full"):

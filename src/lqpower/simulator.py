@@ -20,8 +20,8 @@ once per chunk and every policy advances its own state over it.  Scenarios
 simulated together (the horizons of a compare) share their columns too,
 since a draw depends on (seed, i, j) alone: one cache per chunk makes each
 uniform column once, for the channels that read it and for the normal
-column (the initial state or a perturbation) made from it, and holds a
-column only until the last scenario that reads it has.
+column (the initial state or a perturbation) made from it.  A column is
+made at first read, held until the last, never written.
 """
 
 from __future__ import annotations
@@ -148,34 +148,25 @@ class _Draws:
 
     A uniform column j is `_uniform_column(keys, j)`; a normal column j is
     the exact inverse CDF (ndtri) of uniform column j, so making it is one
-    read of that uniform.  `left` counts, per kind and column j, the reads
-    the chunk's scenarios will make of it.  A column is made at its first
-    read and held only until its last reader takes it; only that last
-    reader may write into it.
+    read of that uniform.  `left` counts, per (kind, j), the reads the
+    chunk's scenarios will make of the column.  A column is made at first
+    read, held until the last, never written: its readers make their own
+    arrays from it.
     """
 
-    def __init__(self, keys: np.ndarray, uniform: Counter, normal: Counter):
-        self.keys = keys
-        self.left = {"uniform": uniform, "normal": normal}
-        self.held = {"uniform": {}, "normal": {}}
+    def __init__(self, keys: np.ndarray, left: Counter):
+        self.keys, self.left, self.held = keys, left, {}
 
-    def take(self, kind: str, j: int) -> tuple[np.ndarray, bool]:
-        """Column j of `kind`, and whether the caller is its last reader."""
-        held, left = self.held[kind], self.left[kind]
-        column = held.pop(j, None)
+    def take(self, kind: str, j: int) -> np.ndarray:
+        """Column j of `kind`; a normal one reads its uniform when made."""
+        column = self.held.pop((kind, j), None)
         if column is None:
-            column = self._make(kind, j)
-        left[j] -= 1
-        last = left[j] == 0
-        if not last:
-            held[j] = column
-        return column, last
-
-    def _make(self, kind: str, j: int) -> np.ndarray:
-        """A new column j of `kind`; a normal one reads its uniform here."""
-        if kind == "uniform":
-            return _uniform_column(self.keys, j)
-        return ndtri(self.take("uniform", j)[0])
+            column = (_uniform_column(self.keys, j) if kind == "uniform"
+                      else ndtri(self.take("uniform", j)))
+        self.left[kind, j] -= 1
+        if self.left[kind, j]:
+            self.held[kind, j] = column
+        return column
 
 
 class _Scenario:
@@ -319,10 +310,10 @@ def monte_carlo_batch(runs, sim: SimConfig, return_samples: bool = False,
             error = exc
             break
     live = [s for s in scenarios if s.ps]   # a scenario without policies reads nothing
-    normal_reads = Counter(j for s in live for j in s.normal_draws)
+    normal = Counter(("normal", j) for s in live for j in s.normal_draws)
     # making a normal column reads its uniform once
-    uniform_reads = (Counter(j for s in live for j in s.channel_draws)
-                     + Counter(normal_reads.keys()))
+    reads = normal + Counter([("uniform", j) for s in live for j in s.channel_draws]
+                             + [("uniform", j) for _, j in normal])
     n = sim.n_samples
     gain = sim.channel_model == "gain_threshold"
     add = np.add.reduce   # a float64 array's sum, as ndarray.sum takes it
@@ -337,7 +328,7 @@ def monte_carlo_batch(runs, sim: SimConfig, return_samples: bool = False,
         for lo in range(0, n, _CHUNK):
             hi = min(lo + _CHUNK, n)
             keys = _stream_keys(sim.seed, np.arange(lo, hi, dtype=np.int64))
-            draws = _Draws(keys, uniform_reads.copy(), normal_reads.copy())
+            draws = _Draws(keys, reads.copy())
             for s in live:
                 sys, ch, ps, pis = s.sys, s.ch, s.ps, s.pis
                 state_sum, input_sum = s.state_sum, s.input_sum
@@ -347,22 +338,20 @@ def monte_carlo_batch(runs, sim: SimConfig, return_samples: bool = False,
                 if sim.initial_state == "fixed":
                     xs = [np.full(hi - lo, float(sim.x1))] * m
                 else:
-                    xs = [s.sigma_x * draws.take("normal", 0)[0]] * m
+                    xs = [s.sigma_x * draws.take("normal", 0)] * m
                 costs = [np.zeros(hi - lo) for _ in range(m)]
-                for t in range(T):
-                    last = t == T - 1
+                for t in range(T):   # the last slot's x_next is never read
                     if s.sending[t]:
-                        c, own = draws.take("uniform", 1 + t)
+                        c = draws.take("uniform", 1 + t)
                         if gain:   # exponential gains -gbar ln u, mean gbar
-                            c = np.log(c, out=c) if own else np.log(c)
+                            c = np.log(c)
                             c *= -ch.gbar
                     for k in range(m):
                         x = xs[k]
                         state = q * x * x
                         if per_slot:
                             state_sum[k][t] += add(state)
-                        if not last:
-                            x_next = a * x
+                        x_next = a * x
                         if pis[k][t] > 0.0:
                             if gain:
                                 z = c * ps[k][t]
@@ -377,21 +366,15 @@ def monte_carlo_batch(runs, sim: SimConfig, return_samples: bool = False,
                             if per_slot:
                                 input_sum[k][t] += add(inp)
                             state += inp
-                            if not last:
-                                xz *= bk
-                                x_next += xz
+                            xz *= bk
+                            x_next += xz
                         # state is +0 or more (or nan): adding a power of 0 is a no-op
                         if ps[k][t] != 0.0:
                             state += ps[k][t]
                         costs[k] += state
-                        if not last:
-                            xs[k] = x_next
-                    if sigma_d > 0 and not last:
-                        d, own = draws.take("normal", 1 + T + t)
-                        if own:
-                            d *= sigma_d
-                        else:   # a later scenario reads the column: leave it as made
-                            d = d * sigma_d
+                        xs[k] = x_next
+                    if sigma_d > 0 and t < T - 1:   # the last perturbation is not drawn
+                        d = draws.take("normal", 1 + T + t) * sigma_d
                         for x in xs:   # each policy's own x_next, made above
                             x += d
                 s.merge(costs)

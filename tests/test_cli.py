@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lqpower import optimizer
+from lqpower import experiments, optimizer
 from lqpower.cli import _parse_horizons, build_parser, main
 from lqpower.experiments import (
     FIG4_HORIZONS,
@@ -213,6 +213,23 @@ class TestOptimizeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ch: theta/p_max = 1000.0 ")
         assert len(err.strip().splitlines()) == 1
+
+    def test_allocation_failure_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # a horizon of 1e10 slots asks numpy for 74.5 GiB per table; the
+        # workflow's MemoryError is stood in for, not provoked
+        def failing(cfg):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with "
+                              "shape (10000000000,) and data type float64")
+
+        monkeypatch.setattr(experiments, "run_optimize", failing)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"sys": {"T": 10**10}}))
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: Unable to allocate 74.5 GiB for an array with shape "
+            "(10000000000,) and data type float64\n")
+        assert not out.exists()
 
     def test_iteration_cap_warns_on_stderr(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -8,6 +8,7 @@ from lqpower import (
     ChannelParams,
     OptimizerConfig,
     RecursionTables,
+    SimConfig,
     SystemParams,
     backward_tables,
     compute_tables,
@@ -213,6 +214,20 @@ class TestParamValidation:
         with pytest.raises(ValueError,
                            match=rf"^{section}\.{field} must be {must} \(got {value!r}\)$"):
             make(**{field: value})
+
+    @pytest.mark.parametrize("value", [10**400, -10**400], ids=["1e400", "-1e400"])
+    @pytest.mark.parametrize("cls,section,field", [
+        *[(SystemParams, "sys", f)
+          for f in ("a", "b", "k", "q", "r", "sigma_x2", "sigma_d2")],
+        *[(ChannelParams, "ch", f) for f in ("gamma", "sigma2", "gbar", "p_max")],
+        (SimConfig, "sim", "x1"),
+        (OptimizerConfig, "opt", "eps_cost"),
+        (OptimizerConfig, "opt", "ex2_1"),
+    ])
+    def test_int_too_large_for_a_float_rejected(self, cls, section, field, value):
+        # float() of such an int raises OverflowError; the field is named instead
+        with pytest.raises(ValueError, match=rf"^{section}\.{field} must be "):
+            cls(**{field: value})
 
     def test_success_vector_range(self):
         with pytest.raises(ValueError):
@@ -455,10 +470,18 @@ class TestForwardMoments:
         with pytest.raises(ValueError):
             forward_second_moments(_sys(), np.zeros(2), -1.0)
 
-    @pytest.mark.parametrize("ex2_1", [math.nan, math.inf])
-    def test_rejects_non_finite_initial_moment(self, ex2_1):
-        with pytest.raises(ValueError, match=r"^ex2_1 must be a finite number >= 0"):
-            forward_second_moments(_sys(), np.zeros(2), ex2_1)
+    @pytest.mark.parametrize("ex2_1", [math.nan, math.inf, True, "1", 10**400, -10**400],
+                             ids=["nan", "inf", "True", "'1'", "1e400", "-1e400"])
+    @pytest.mark.parametrize("call", [
+        lambda ex2_1: forward_second_moments(_sys(), np.zeros(2), ex2_1),
+        lambda ex2_1: expected_cost(_sys(), CH, np.zeros(2), ex2_1),
+        lambda ex2_1: compute_tables(_sys(), CH, np.zeros(2), ex2_1),
+    ], ids=["forward_second_moments", "expected_cost", "compute_tables"])
+    def test_rejects_non_finite_initial_moment(self, call, ex2_1):
+        # a bool is an int to Python, float("1") would parse, and float(10**400)
+        # raises OverflowError
+        with pytest.raises(ValueError, match=r"^ex2_1 must be a finite number >= 0 \(got "):
+            call(ex2_1)
 
     @pytest.mark.parametrize("pi", [np.array([]), np.zeros((2, 1))])
     def test_rejects_empty_or_non_1d_success(self, pi):

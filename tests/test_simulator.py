@@ -478,24 +478,27 @@ class TestBatchRollout:
     @pytest.mark.parametrize("last", [6, 30])
     def test_compare_makes_each_draw_column_once(self, tmp_path, monkeypatch, last):
         uniforms, normals = [], []   # (first key of the chunk, j) of every column made
+        made = []                    # each uniform column, kept so that its id stays its own
         stores = []                  # each chunk's _Draws
-        make, Draws = simmod._uniform_column, simmod._Draws
+        make, ndtri, Draws = simmod._uniform_column, simmod.ndtri, simmod._Draws
 
         def spy(keys, j):
             uniforms.append((int(keys[0]), j))
-            return make(keys, j)
+            made.append(make(keys, j))
+            return made[-1]
+
+        def normal_spy(u):   # normal column j is made from uniform column j
+            [source] = [uniforms[i] for i, column in enumerate(made) if column is u]
+            normals.append(source)
+            return ndtri(u)
 
         class Recorded(Draws):
             def __init__(self, *args):
                 super().__init__(*args)
                 stores.append(self)
 
-            def _make(self, kind, j):
-                if kind == "normal":
-                    normals.append((int(self.keys[0]), j))
-                return super()._make(kind, j)
-
         monkeypatch.setattr(simmod, "_uniform_column", spy)
+        monkeypatch.setattr(simmod, "ndtri", normal_spy)
         monkeypatch.setattr(simmod, "_Draws", Recorded)
         monkeypatch.setattr(simmod, "_CHUNK", 4)
         cfg = load_config(preset="fig4", samples=10, output_dir=str(tmp_path))
@@ -515,8 +518,41 @@ class TestBatchRollout:
         if last == 30:   # figure fig4: 60 uniform and 58 normal columns a chunk
             assert len(uniforms) == 3 * 60 and len(normals) == 3 * 58
         for store in stores:   # every read made, no column left held
-            assert store.held == {"uniform": {}, "normal": {}}
-            assert not any(n for left in store.left.values() for n in left.values())
+            assert store.held == {}
+            assert not any(store.left.values())
+
+    @pytest.mark.parametrize("channel_model", ["bernoulli", "gain_threshold"])
+    def test_compare_never_writes_a_column(self, tmp_path, monkeypatch, channel_model):
+        # horizons 2..6 share channel and perturbation columns (sigma_d2 > 0);
+        # each column must keep the bits it was made with until its chunk ends
+        made = []   # (column, its bits when made)
+        uniform, ndtri, merge = simmod._uniform_column, simmod.ndtri, simmod._Scenario.merge
+
+        def kept(make):
+            def spy(*args):
+                column = make(*args)
+                made.append((column, column.copy()))
+                return column
+            return spy
+
+        chunks = []
+
+        def checked_merge(self, costs):   # the last scenario's merge ends a chunk
+            merge(self, costs)
+            if self.sys.T == 6:
+                chunks.append(len(made))
+                for column, bits in made:
+                    assert np.array_equal(column, bits)
+
+        monkeypatch.setattr(simmod, "_uniform_column", kept(uniform))
+        monkeypatch.setattr(simmod, "ndtri", kept(ndtri))
+        monkeypatch.setattr(simmod._Scenario, "merge", checked_merge)
+        monkeypatch.setattr(simmod, "_CHUNK", 4)
+        cfg = load_config(preset="fig4", samples=10, output_dir=str(tmp_path))
+        cfg = replace(cfg, sim=replace(cfg.sim, channel_model=channel_model))
+        assert cfg.sys.sigma_d2 > 0
+        run_compare(cfg, range(2, 7))
+        assert len(chunks) == 3 and chunks[0] > 0
 
     def test_empty_batch(self):
         assert monte_carlo_batch([], SimConfig()) == []
