@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ChannelParams, SystemParams, _is_real
+from .model import ChannelParams, SystemParams, _is_real, _shown
 from .optimizer import OptimizerConfig, optimize_policies, optimize_policy
 from .simulator import SimConfig, baseline_policy, monte_carlo_batch, monte_carlo_cost
 
@@ -155,6 +155,8 @@ def load_config(
             raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        except ValueError as exc:   # an int too long to convert, or bytes not UTF-8
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
@@ -319,7 +321,7 @@ def run_compare(cfg: ExperimentConfig, horizons) -> dict:
     horizons = [int(T) for T in horizons]
     for T in horizons:
         if T < 1:
-            raise ConfigError(f"horizon values must be >= 1 (got {T})")
+            raise ConfigError(f"horizon values must be >= 1 (got {_shown(T)})")
     runs, traces, error = [], [], None
     try:
         for sys_T, ch, trace in _optimize_each(cfg, [{"T": T} for T in horizons]):

@@ -68,6 +68,27 @@ def _float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+class _Text(str):
+    """A message fragment that formats as itself under str() and repr()."""
+
+    __repr__ = str.__str__
+
+
+def _shown(value):
+    """value for an error message, or, for an int too long for str() (over
+    sys.get_int_max_str_digits() digits), its size, which str() can print."""
+    if isinstance(value, int):
+        try:
+            str(value)
+        except ValueError:
+            n = abs(value)
+            # 2**(bits - 1) <= n < 2**bits: n has the digits of 2**(bits - 1) or one more
+            digits = int((n.bit_length() - 1) * math.log10(2)) + 1
+            digits += n >= 10**digits
+            return _Text(f"{'a negative' if value < 0 else 'an'} int of {digits} digits")
+    return value
+
+
 def _require_finite(params, section: str, names: tuple[str, ...], bound: str = "") -> None:
     """Reject booleans, non-numbers, NaN and infinite values (ints too large
     for a float among them) and, given the bound "> 0" or ">= 0", values
@@ -77,7 +98,7 @@ def _require_finite(params, section: str, names: tuple[str, ...], bound: str = "
         if not _is_real(value):
             raise ValueError(f"{section}.{name} must be a real number (got {value!r})")
         if not math.isfinite(_float(value)):
-            raise ValueError(f"{section}.{name} must be finite (got {value})")
+            raise ValueError(f"{section}.{name} must be finite (got {_shown(value)})")
         if bound and not (value > 0 or bound == ">= 0" and value == 0):
             raise ValueError(f"{section}.{name} must be {bound} (got {value})")
 
@@ -100,7 +121,7 @@ class SystemParams:
         _require_finite(self, "sys", ("q", "r"), "> 0")
         _require_finite(self, "sys", ("sigma_x2", "sigma_d2"), ">= 0")
         if not (_is_integer(self.T) and self.T >= 1):
-            raise ValueError(f"sys.T must be an integer >= 1 (got {self.T})")
+            raise ValueError(f"sys.T must be an integer >= 1 (got {_shown(self.T)})")
         for name in ("a", "b", "k"):
             try:  # the model squares them; a Python float's square raises
                 float(getattr(self, name)) ** 2
@@ -367,7 +388,7 @@ def _moments(sys: SystemParams, pi: np.ndarray, ex2_1: float) -> np.ndarray:
     """ex2 over the whole horizon from E[x_1^2] = ex2_1, not yet checked for
     overflow."""
     if not (_is_real(ex2_1) and 0 <= _float(ex2_1) < math.inf):
-        raise ValueError(f"ex2_1 must be a finite number >= 0 (got {ex2_1})")
+        raise ValueError(f"ex2_1 must be a finite number >= 0 (got {_shown(ex2_1)})")
     ex2 = np.empty(len(pi))
     ex2[0] = ex2_1
     ex2[1:] = _forward(sys, pi, float(ex2_1), 0)

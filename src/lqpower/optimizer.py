@@ -48,6 +48,7 @@ from .model import (
     _is_integer,
     _is_real,
     _power,
+    _shown,
     _total_cost,
     _update_tables,
     _weights,
@@ -86,14 +87,14 @@ class OptimizerConfig:
     def __post_init__(self):
         if not (self.k_max is None or (_is_integer(self.k_max) and self.k_max >= 1)):
             raise ValueError(
-                f"opt.k_max must be null or an integer >= 1 (got {self.k_max})")
+                f"opt.k_max must be null or an integer >= 1 (got {_shown(self.k_max)})")
         if not (_is_real(self.eps_cost) and 0 < _float(self.eps_cost) < math.inf):
             raise ValueError(
-                f"opt.eps_cost must be a finite number > 0 (got {self.eps_cost!r})")
+                f"opt.eps_cost must be a finite number > 0 (got {_shown(self.eps_cost)!r})")
         if not (self.ex2_1 is None
                 or _is_real(self.ex2_1) and 0 <= _float(self.ex2_1) < math.inf):
-            raise ValueError(
-                f"opt.ex2_1 must be null or a finite number >= 0 (got {self.ex2_1!r})")
+            raise ValueError(f"opt.ex2_1 must be null or a finite number >= 0 "
+                             f"(got {_shown(self.ex2_1)!r})")
         if self.init not in ("zero", "full"):
             raise ValueError(f"opt.init must be 'zero' or 'full' (got {self.init!r})")
 

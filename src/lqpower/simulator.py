@@ -10,30 +10,28 @@ threshold.  Both realize the same success law.
 Randomness is counter-based: draw j of replication i is a pure function of
 (seed, i, j), produced by a SplitMix64-style mixer and mapped through exact
 inverse CDFs.  Replications therefore depend only on their own index, never
-on execution order, batch size, or thread assignment.  The rollout runs a
-chunk of replications at once and makes each column of draws (draw j of
-every replication in the chunk) when a slot reads it, and only the columns
-that are read; the perturbation of the last slot only moves the state past
-the horizon and is never drawn.  Several policies compared with common
-random numbers share one rollout and one set of draws: each column is made
-once per chunk and every policy advances its own state over it.  Scenarios
-simulated together (the horizons of a compare) share their columns too,
-since a draw depends on (seed, i, j) alone: one cache per chunk makes each
-uniform column once, for the channels that read it and for the normal
-column (the initial state or a perturbation) made from it.  A column is
-made at first read, held until the last, never written.
+on execution order, batch size, or process assignment.  The rollout runs a
+chunk of replications at once, and every policy and scenario of a batch
+reads one cache of the chunk's columns of draws (draw j of every
+replication in the chunk): a column is made at first read, held until the
+last, never written, and a column that nothing reads is never made.  A run
+of 2^16 replications or more deals its chunks over up to one process per
+usable CPU (forked helpers beside this one), merged here in chunk order:
+the same bits on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .model import (ChannelParams, SystemParams, _is_integer, _require_finite,
+from .model import (ChannelParams, SystemParams, _is_integer, _require_finite, _shown,
                     policy_to_success)
 
 __all__ = [
@@ -48,6 +46,7 @@ _CHANNEL_MODELS = ("bernoulli", "gain_threshold")
 _INITIAL_STATES = ("gaussian", "fixed")
 
 _CHUNK = 1 << 15
+_FORK_MIN = 1 << 16   # two default chunks: a smaller run stays in process
 
 _U64 = np.uint64
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
@@ -71,7 +70,7 @@ class SimConfig:
     def __post_init__(self):
         if not (_is_integer(self.n_samples) and self.n_samples >= 1):
             raise ValueError(
-                f"sim.n_samples must be an integer >= 1 (got {self.n_samples})")
+                f"sim.n_samples must be an integer >= 1 (got {_shown(self.n_samples)})")
         if self.channel_model not in _CHANNEL_MODELS:
             raise ValueError(
                 f"sim.channel_model must be one of {_CHANNEL_MODELS} "
@@ -81,8 +80,8 @@ class SimConfig:
                 f"sim.initial_state must be one of {_INITIAL_STATES} "
                 f"(got {self.initial_state!r})")
         if not (_is_integer(self.seed) and 0 <= int(self.seed) <= _U64_MASK):
-            raise ValueError(
-                f"sim.seed must be an integer in [0, 2**64 - 1] (got {self.seed!r})")
+            raise ValueError(f"sim.seed must be an integer in [0, 2**64 - 1] "
+                             f"(got {_shown(self.seed)!r})")
         _require_finite(self, "sim", ("x1",))
 
 
@@ -147,12 +146,10 @@ class _Draws:
     """The draw columns of one chunk, each made once for all its readers.
 
     A uniform column j is `_uniform_column(keys, j)`; a normal column j is
-    the exact inverse CDF (ndtri) of uniform column j, so making it is one
-    read of that uniform.  `left` counts, per (kind, j), the reads the
-    chunk's scenarios will make of the column.  A column is made at first
-    read, held until the last, never written: its readers make their own
-    arrays from it.
-    """
+    the exact inverse CDF (ndtri) of uniform column j, so making it reads
+    that uniform once.  `left` counts, per (kind, j), the reads the chunk's
+    scenarios will make.  A column is made at first read, held until the
+    last, never written: its readers make their own arrays from it."""
 
     def __init__(self, keys: np.ndarray, left: Counter):
         self.keys, self.left, self.held = keys, left, {}
@@ -181,8 +178,7 @@ class _Scenario:
             p = np.asarray(policy, dtype=float)
             pi = policy_to_success(p, ch)  # validates p
             if len(p) != T:
-                raise ValueError(
-                    f"policy {i} has length {len(p)}, expected T = {T}")
+                raise ValueError(f"policy {i} has length {len(p)}, expected T = {T}")
             self.ps.append(p.tolist())
             self.pis.append(pi.tolist())
         m = len(self.ps)
@@ -196,39 +192,37 @@ class _Scenario:
         self.sigma_x = math.sqrt(sys.sigma_x2)
         # the normal columns read per chunk: x1, then the perturbations of
         # slots 1..T-1 (the last one only moves the state past the horizon)
-        self.normal_draws = [
-            *([0] if sim.initial_state == "gaussian" else []),
-            *(range(T + 1, 2 * T) if self.sigma_d > 0 else []),
-        ]
+        self.normal_draws = [*([0] if sim.initial_state == "gaussian" else []),
+                             *(range(T + 1, 2 * T) if self.sigma_d > 0 else [])]
         self.return_samples = return_samples
-        self.count = 0
-        self.mean = [0.0] * m
-        self.m2 = [0.0] * m
-        # per policy and slot, the sums over replications of q x^2 and r u^2;
-        # None when no report carries them
-        self.state_sum = [[0.0] * T for _ in range(m)] if per_slot else None
-        self.input_sum = [[0.0] * T for _ in range(m)] if per_slot else None
+        self.count, self.mean, self.m2 = 0, [0.0] * m, [0.0] * m
+        # [0] and [1] per policy and slot: the sums over replications of q x^2
+        # and r u^2; None when no report carries them
+        self.slot_sums = np.zeros((2, m, T)) if per_slot else None
         self.all_samples = [[] for _ in range(m)]
 
-    def merge(self, costs: list[np.ndarray]) -> None:
-        """Merge one chunk's costs into the running moments (parallel
-        mean/variance combination).  A square past the largest float is
-        inf, which reports() names."""
+    def moments(self, costs: list[np.ndarray]) -> tuple[list, list]:
+        """Per policy, one chunk's mean cost and sum of squared deviations."""
+        means = [float(cost.mean()) for cost in costs]
+        return means, [float(np.sum((cost - c) ** 2)) for cost, c in zip(costs, means)]
+
+    def merge(self, size: int, means, m2s, slot_sums, costs) -> None:
+        """Merge the next chunk's moments (parallel mean/variance combination),
+        per-slot sums and costs.  A square that overflows is inf: reports() names it."""
         count, mean, m2 = self.count, self.mean, self.m2
-        size = len(costs[0])
         total = count + size
-        for k, cost in enumerate(costs):
-            c_mean = float(cost.mean())
-            c_m2 = float(np.sum((cost - c_mean) ** 2))
-            delta = c_mean - mean[k]
+        for k, c_m2 in enumerate(m2s):
+            delta = means[k] - mean[k]
             mean[k] += delta * size / total
             # the term is 0.0 at the first chunk; a float64 square is bit-equal
             # to the Python float's, but overflows to inf where that one raises
             if count:
                 c_m2 += float(np.float64(delta)**2 * count * size / total)
             m2[k] += c_m2
-            if self.return_samples:
-                self.all_samples[k].append(cost)
+            if costs is not None:
+                self.all_samples[k].append(costs[k])
+        if slot_sums is not None:
+            self.slot_sums += slot_sums
         self.count = total
 
     def reports(self) -> list[SimReport]:
@@ -239,24 +233,135 @@ class _Scenario:
             std_err = (math.sqrt(self.m2[k] / (count - 1)) / math.sqrt(count)
                        if count > 1 else 0.0)
             per_slot = None
-            if self.state_sum is not None:
-                per_slot = np.column_stack([np.array(self.state_sum[k]) / count,
-                                            np.array(self.input_sum[k]) / count, p])
+            if self.slot_sums is not None:
+                per_slot = np.column_stack([*(self.slot_sums[:, k] / count), p])
             if not (math.isfinite(self.mean[k]) and math.isfinite(std_err)
                     and (per_slot is None or np.isfinite(per_slot).all())):
                 raise ValueError(
                     f"Monte Carlo cost statistics are not finite (T = {T}, "
                     f"policy {k}): a state or a cost overflowed")
-            reports.append(SimReport(
-                mean_cost=self.mean[k],
-                std_err=std_err,
-                per_slot=per_slot,
-                n_samples=count,
-                std_err_valid=count > 1,
-                samples=(np.concatenate(self.all_samples[k])
-                         if self.return_samples else None),
-            ))
+            samples = np.concatenate(self.all_samples[k]) if self.return_samples else None
+            reports.append(SimReport(self.mean[k], std_err, per_slot, count,
+                                     std_err_valid=count > 1, samples=samples))
         return reports
+
+
+def _rollout(live, reads, sim: SimConfig, los, per_slot: bool) -> list[list[tuple]]:
+    """Per chunk of `los` (replications lo..lo + _CHUNK), per scenario of `live`:
+    the `merge` arguments after the size.  One call serves all of a process's
+    chunks: a call per chunk freed every array on return, and paging the heap
+    back in made 6.5 times the page faults on 1e6 replications."""
+    n = sim.n_samples
+    gain = sim.channel_model == "gain_threshold"
+    add = np.add.reduce   # a float64 array's sum, as ndarray.sum takes it
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):   # reports() names an overflow
+        for lo in los:
+            hi = min(lo + _CHUNK, n)
+            keys = _stream_keys(sim.seed, np.arange(lo, hi, dtype=np.int64))
+            draws = _Draws(keys, reads.copy())
+            chunk = []
+            for s in live:
+                sys, ch, ps, pis = s.sys, s.ch, s.ps, s.pis
+                T, m = sys.T, len(ps)
+                slot_sums = np.zeros((2, m, T)) if per_slot else None
+                q, a, sigma_d, rk2 = sys.q, sys.a, s.sigma_d, sys._coeffs[3]
+                bk = sys.b * sys.k
+                if sim.initial_state == "fixed":
+                    xs = [np.full(hi - lo, float(sim.x1))] * m
+                else:
+                    xs = [s.sigma_x * draws.take("normal", 0)] * m
+                costs = [np.zeros(hi - lo) for _ in range(m)]
+                for t in range(T):   # the last slot's x_next is never read
+                    if s.sending[t]:
+                        c = draws.take("uniform", 1 + t)
+                        if gain:   # exponential gains -gbar ln u, mean gbar
+                            c = np.log(c)
+                            c *= -ch.gbar
+                    for k in range(m):
+                        x = xs[k]
+                        state = q * x * x
+                        if per_slot:
+                            slot_sums[0, k, t] = add(state)
+                        x_next = a * x
+                        if pis[k][t] > 0.0:
+                            if gain:
+                                z = c * ps[k][t]
+                                z /= ch.sigma2
+                                z = z >= ch.gamma
+                            else:
+                                z = c < pis[k][t]
+                            # x * z differs from "x where z, else 0" only at a
+                            # state that is not finite, which makes the mean raise
+                            xz = x * z
+                            inp = rk2 * xz * xz
+                            if per_slot:
+                                slot_sums[1, k, t] = add(inp)
+                            state += inp
+                            xz *= bk
+                            x_next += xz
+                        # state is +0 or more (or nan): adding a power of 0 is a no-op
+                        if ps[k][t] != 0.0:
+                            state += ps[k][t]
+                        costs[k] += state
+                        xs[k] = x_next
+                    if sigma_d > 0 and t < T - 1:   # the last perturbation is not drawn
+                        d = draws.take("normal", 1 + T + t) * sigma_d
+                        for x in xs:   # each policy's own x_next, made above
+                            x += d
+                chunk.append((*s.moments(costs), slot_sums,
+                              costs if s.return_samples else None))
+            out.append(chunk)
+    return out
+
+
+def _helper(conn, *args) -> None:
+    """Send `_rollout(*args)` or its exception; exit flushing no inherited buffer."""
+    try:
+        conn.send(_rollout(*args))
+    except BaseException as exc:   # the parent re-raises it
+        conn.send(exc)
+    finally:
+        os._exit(0)
+
+
+def _chunks(live, reads, sim: SimConfig, los, per_slot: bool) -> list[list[tuple]]:
+    """`_rollout` of every chunk of `los`, in chunk order.  From _FORK_MIN
+    replications on, in a process of one thread with W > 1 usable CPUs (at most
+    one per chunk), this process rolls out chunks 0, W, 2W, ... and forked
+    helper w chunks w, w + W, ...  A helper that exits without a result raises
+    ChildProcessError; no helper outlives the call."""
+    # every platform with sched_getaffinity can fork
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    # a fork copies this thread alone: a lock that another thread holds stays held
+    if sim.n_samples < _FORK_MIN or cpus < 2 or threading.active_count() > 1:
+        return _rollout(live, reads, sim, los, per_slot)
+    import multiprocessing   # here: its import costs about 12 ms
+    context, helpers, W = multiprocessing.get_context("fork"), [], min(cpus, len(los))
+    try:
+        for w in range(1, W):
+            receiver, sender = context.Pipe(duplex=False)
+            helper = context.Process(target=_helper,
+                                     args=(sender, live, reads, sim, los[w::W], per_slot))
+            helper.start()
+            sender.close()   # so that the receiver reads EOF once the helper exits
+            helpers.append((helper, receiver))
+        parts = [_rollout(live, reads, sim, los[0::W], per_slot)]
+        for helper, receiver in helpers:   # recv before join: a result can fill the pipe
+            try:
+                parts.append(receiver.recv())
+            except EOFError:
+                helper.join()
+                raise ChildProcessError(f"a Monte Carlo helper exited (code "
+                                        f"{helper.exitcode}) without its result") from None
+            if isinstance(parts[-1], BaseException):
+                raise parts[-1]
+    finally:
+        for helper, receiver in helpers:
+            helper.terminate()
+            helper.join()
+            receiver.close()
+    return [parts[i % W][i // W] for i in range(len(los))]
 
 
 def monte_carlo_batch(runs, sim: SimConfig, return_samples: bool = False,
@@ -275,37 +380,30 @@ def monte_carlo_batch(runs, sim: SimConfig, return_samples: bool = False,
     n_samples, the chunking or the other scenarios.
 
     Per chunk of replications, each scenario in turn advances its policies
-    over the chunk.  A draw column depends only on (seed, i, j), so the
-    chunk's one cache makes it once for every policy and scenario that reads
-    it, and holds it only until the last of them has: a compare over
-    horizons reads the channel of slot t at every horizon that sends in it,
-    and perturbation j at every horizon T with T < j < 2T.  A uniform column
-    serves both kinds of read: the channel of slot j, and normal column j,
-    which is made from it.  Each report is bit for bit the one its policy
-    gets alone, since a policy's arithmetic does not depend on the others.
-    Chunks' moments are merged by the parallel mean/variance combination; that
-    merge rounds differently for other chunk sizes, so mean_cost and
-    std_err depend on the chunk size in their last bits.
+    over the chunk, all reading the chunk's one cache of draw columns
+    (_Draws).  Each report is bit for bit the one its policy gets alone,
+    since a policy's arithmetic does not depend on the others.  The chunks'
+    moments are merged in chunk order by the parallel mean/variance
+    combination, which rounds differently for other chunk sizes: mean_cost
+    and std_err depend on the chunk size in their last bits, never on the
+    number of processes that rolled the chunks out (see _chunks).
 
     With per_slot=False the rollout keeps no per-slot sums and each
     report's per_slot is None; mean_cost, std_err and samples are the same
     bits either way.
 
     Raises the first failure in input order, as one scenario at a time
-    would: a ValueError for a policy that is not valid or not of length T
-    (naming its index), and a ValueError naming T and the policy's index
-    when a policy's mean cost, its standard error or, with per_slot, a
-    per-slot mean is not finite (a state, a cost or the square of a cost
-    overflowed).  Within one chunk a per-slot sum that is not finite makes
-    the mean not finite too, since every cost term is >= 0; across chunks
-    the per-slot sums can overflow while the mean and std_err stay finite,
-    so that case raises only with per_slot.
+    would: a ValueError naming the policy's index for a policy that is not
+    valid or not of length T, or (naming T too) whose mean cost, standard
+    error or, with per_slot, per-slot mean is not finite: a state, a cost
+    or a square overflowed.  The per-slot sums can overflow across chunks
+    while the mean and std_err stay finite, so that case raises only with
+    per_slot (within a chunk the mean, of terms >= 0, overflows as well).
     """
     scenarios, error = [], None
     for sys, ch, policies in runs:
         try:
-            scenarios.append(_Scenario(sys, ch, policies, sim, return_samples,
-                                       per_slot))
+            scenarios.append(_Scenario(sys, ch, policies, sim, return_samples, per_slot))
         except ValueError as exc:
             error = exc
             break
@@ -314,83 +412,21 @@ def monte_carlo_batch(runs, sim: SimConfig, return_samples: bool = False,
     # making a normal column reads its uniform once
     reads = normal + Counter([("uniform", j) for s in live for j in s.channel_draws]
                              + [("uniform", j) for _, j in normal])
-    n = sim.n_samples
-    gain = sim.channel_model == "gain_threshold"
-    add = np.add.reduce   # a float64 array's sum, as ndarray.sum takes it
-    # One loop body for every chunk and scenario, not a call per scenario:
-    # each array it makes lives until the next scenario or chunk replaces
-    # it, so one scenario allocates and frees as a plain loop over chunks
-    # does.  Freeing them all on return let the heap shrink and page back
-    # in every chunk: 6.5 times the page faults on 1e6 replications.
-    # An overflowing state, cost or square makes the statistics raise in
-    # reports().
+    los = range(0, sim.n_samples, _CHUNK)
+    chunks = _chunks(live, reads, sim, los, per_slot)
+    # the per-slot sums and the squares of the merge may overflow: reports() raises
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            keys = _stream_keys(sim.seed, np.arange(lo, hi, dtype=np.int64))
-            draws = _Draws(keys, reads.copy())
-            for s in live:
-                sys, ch, ps, pis = s.sys, s.ch, s.ps, s.pis
-                state_sum, input_sum = s.state_sum, s.input_sum
-                T, m = sys.T, len(ps)
-                q, a, sigma_d, rk2 = sys.q, sys.a, s.sigma_d, sys._coeffs[3]
-                bk = sys.b * sys.k
-                if sim.initial_state == "fixed":
-                    xs = [np.full(hi - lo, float(sim.x1))] * m
-                else:
-                    xs = [s.sigma_x * draws.take("normal", 0)] * m
-                costs = [np.zeros(hi - lo) for _ in range(m)]
-                for t in range(T):   # the last slot's x_next is never read
-                    if s.sending[t]:
-                        c = draws.take("uniform", 1 + t)
-                        if gain:   # exponential gains -gbar ln u, mean gbar
-                            c = np.log(c)
-                            c *= -ch.gbar
-                    for k in range(m):
-                        x = xs[k]
-                        state = q * x * x
-                        if per_slot:
-                            state_sum[k][t] += add(state)
-                        x_next = a * x
-                        if pis[k][t] > 0.0:
-                            if gain:
-                                z = c * ps[k][t]
-                                z /= ch.sigma2
-                                z = z >= ch.gamma
-                            else:
-                                z = c < pis[k][t]
-                            # x * z differs from "x where z, else 0" only at a
-                            # state that is not finite, which makes the mean raise
-                            xz = x * z
-                            inp = rk2 * xz * xz
-                            if per_slot:
-                                input_sum[k][t] += add(inp)
-                            state += inp
-                            xz *= bk
-                            x_next += xz
-                        # state is +0 or more (or nan): adding a power of 0 is a no-op
-                        if ps[k][t] != 0.0:
-                            state += ps[k][t]
-                        costs[k] += state
-                        xs[k] = x_next
-                    if sigma_d > 0 and t < T - 1:   # the last perturbation is not drawn
-                        d = draws.take("normal", 1 + T + t) * sigma_d
-                        for x in xs:   # each policy's own x_next, made above
-                            x += d
-                s.merge(costs)
+        for lo, chunk in zip(los, chunks):
+            for s, outcome in zip(live, chunk):
+                s.merge(min(_CHUNK, sim.n_samples - lo), *outcome)
     reports = [s.reports() for s in scenarios]
     if error is not None:
         raise error
     return reports
 
 
-def monte_carlo_cost(
-    sys: SystemParams,
-    ch: ChannelParams,
-    policy: np.ndarray,
-    sim: SimConfig,
-    return_samples: bool = False,
-) -> SimReport:
+def monte_carlo_cost(sys: SystemParams, ch: ChannelParams, policy: np.ndarray,
+                     sim: SimConfig, return_samples: bool = False) -> SimReport:
     """Average `sim.n_samples` independent replications of one policy.
 
     The call of `monte_carlo_batch` with one scenario and one policy; its

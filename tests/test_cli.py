@@ -179,6 +179,19 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="not found"):
             load_config(path="/nonexistent/cfg.json")
 
+    def test_int_too_long_to_read_names_the_file(self, tmp_path, capsys):
+        # the JSON parser itself refuses an int of more than 4300 digits,
+        # with Python's ValueError, before any key is known
+        path = tmp_path / "c.json"
+        path.write_text('{"sys": {"q": 1' + "0" * 5000 + "}}")
+        with pytest.raises(ConfigError, match=rf"^cannot read config file {re.escape(str(path))}: "):
+            load_config(path=path)
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read config file {path}: ")
+        assert not out.exists()
+
 
 class TestOptimizeCommand:
     def test_writes_policy_and_trace(self, tmp_path, capsys):

@@ -229,6 +229,38 @@ class TestParamValidation:
         with pytest.raises(ValueError, match=rf"^{section}\.{field} must be "):
             cls(**{field: value})
 
+    @pytest.mark.parametrize("value,shown", [
+        (10**5000, "an int of 5001 digits"),
+        (-(10**5000 - 1), "a negative int of 5000 digits"),
+        (2**20000, "an int of 6021 digits"),
+    ], ids=["1e5000", "-(1e5000-1)", "2**20000"])
+    @pytest.mark.parametrize("cls,section,field", [
+        *[(SystemParams, "sys", f)
+          for f in ("a", "b", "k", "q", "r", "sigma_x2", "sigma_d2")],
+        *[(ChannelParams, "ch", f) for f in ("gamma", "sigma2", "gbar", "p_max")],
+        (SimConfig, "sim", "x1"),
+        (OptimizerConfig, "opt", "eps_cost"),
+        (OptimizerConfig, "opt", "ex2_1"),
+    ])
+    def test_int_too_long_to_print_is_named(self, cls, section, field, value, shown):
+        # str() of an int of more than 4300 digits raises Python's own
+        # ValueError, which names no field; the message gives its size instead
+        with pytest.raises(ValueError,
+                           match=rf"^{section}\.{field} must be .* \(got {shown}\)$"):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize("cls,section,field,value", [
+        (SystemParams, "sys", "T", -10**5000),
+        (SimConfig, "sim", "n_samples", -10**5000),
+        (SimConfig, "sim", "seed", 10**5000),
+        (OptimizerConfig, "opt", "k_max", -10**5000),
+    ], ids=["sys.T", "sim.n_samples", "sim.seed", "opt.k_max"])
+    def test_integer_field_too_long_to_print_is_named(self, cls, section, field, value):
+        shown = "an int" if value > 0 else "a negative int"
+        with pytest.raises(ValueError, match=rf"^{section}\.{field} must be .* "
+                                             rf"\(got {shown} of 5001 digits\)$"):
+            cls(**{field: value})
+
     def test_success_vector_range(self):
         with pytest.raises(ValueError):
             expected_cost(_sys(T=2), CH, np.array([0.0, CH.pi_max + 0.01]))
@@ -482,6 +514,11 @@ class TestForwardMoments:
         # raises OverflowError
         with pytest.raises(ValueError, match=r"^ex2_1 must be a finite number >= 0 \(got "):
             call(ex2_1)
+
+    def test_initial_moment_too_long_to_print_is_named(self):
+        with pytest.raises(ValueError, match=r"^ex2_1 must be a finite number >= 0 "
+                                             r"\(got an int of 5001 digits\)$"):
+            expected_cost(_sys(), CH, np.zeros(2), 10**5000)
 
     @pytest.mark.parametrize("pi", [np.array([]), np.zeros((2, 1))])
     def test_rejects_empty_or_non_1d_success(self, pi):

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import threading
 from dataclasses import replace
 from unittest import mock
 
@@ -17,6 +20,7 @@ from lqpower import (
     monte_carlo_cost,
     policy_to_success,
 )
+from lqpower.cli import main
 from lqpower.experiments import load_config, run_compare
 from lqpower.simulator import _stream_keys, _uniform_column
 from oracles import (
@@ -141,6 +145,7 @@ _REFERENCE_CASES = [
     *[(model, "gaussian", noisy, "mixed", 70_001)
       for model in ("bernoulli", "gain_threshold")
       for noisy in (False, True)],
+    ("gain_threshold", "fixed", True, "mixed", 1 << 16),   # the fork threshold
 ]
 
 
@@ -526,7 +531,7 @@ class TestBatchRollout:
         # horizons 2..6 share channel and perturbation columns (sigma_d2 > 0);
         # each column must keep the bits it was made with until its chunk ends
         made = []   # (column, its bits when made)
-        uniform, ndtri, merge = simmod._uniform_column, simmod.ndtri, simmod._Scenario.merge
+        uniform, ndtri, moments = simmod._uniform_column, simmod.ndtri, simmod._Scenario.moments
 
         def kept(make):
             def spy(*args):
@@ -537,16 +542,17 @@ class TestBatchRollout:
 
         chunks = []
 
-        def checked_merge(self, costs):   # the last scenario's merge ends a chunk
-            merge(self, costs)
+        def checked_moments(self, costs):   # the last scenario's moments end a chunk
+            result = moments(self, costs)
             if self.sys.T == 6:
                 chunks.append(len(made))
                 for column, bits in made:
                     assert np.array_equal(column, bits)
+            return result
 
         monkeypatch.setattr(simmod, "_uniform_column", kept(uniform))
         monkeypatch.setattr(simmod, "ndtri", kept(ndtri))
-        monkeypatch.setattr(simmod._Scenario, "merge", checked_merge)
+        monkeypatch.setattr(simmod._Scenario, "moments", checked_moments)
         monkeypatch.setattr(simmod, "_CHUNK", 4)
         cfg = load_config(preset="fig4", samples=10, output_dir=str(tmp_path))
         cfg = replace(cfg, sim=replace(cfg.sim, channel_model=channel_model))
@@ -585,6 +591,121 @@ class TestBatchRollout:
         with pytest.raises(ValueError) as got:
             monte_carlo_batch(runs, sim)
         assert str(got.value) == str(want)
+
+
+def _bits(report):
+    """Every field of a report, as bytes where it is an array."""
+    return (np.float64(report.mean_cost).tobytes(), np.float64(report.std_err).tobytes(),
+            None if report.per_slot is None else report.per_slot.tobytes(),
+            report.n_samples, report.std_err_valid,
+            None if report.samples is None else report.samples.tobytes())
+
+
+def _forking(monkeypatch, cpus):
+    """Make `cpus` CPUs usable to the rollout, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+class TestForkedRollout:
+    """From _FORK_MIN replications on, chunks run in forked helpers too."""
+
+    RUNS = [(_sys(k=1.8, sigma_d2=0.05, T=6), CH,
+             [np.array([2.5, 0.0, 1.2, 3.0, 0.7, 0.0]), np.full(6, 3.0), np.zeros(6)]),
+            (_sys(T=4), CH, [np.array([0.4, 3.0, 0.0, 0.0]), np.full(4, 1.0)])]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("n", [1 << 16, 100_001])   # two full chunks; a partial last one
+    @pytest.mark.parametrize("channel_model", ["bernoulli", "gain_threshold"])
+    @pytest.mark.parametrize("per_slot", [True, False])
+    def test_same_bits_as_in_process(self, monkeypatch, cpus, n, channel_model, per_slot):
+        sim = SimConfig(n_samples=n, seed=123, channel_model=channel_model)
+        _forking(monkeypatch, cpus)
+        parent, rollout, here = os.getpid(), simmod._rollout, []
+
+        def counted(live, reads, sim, los, per_slot):
+            if os.getpid() == parent:
+                here.extend(los)
+            return rollout(live, reads, sim, los, per_slot)
+
+        monkeypatch.setattr(simmod, "_rollout", counted)
+        forked = monte_carlo_batch(self.RUNS, sim, return_samples=True, per_slot=per_slot)
+        chunks = list(range(0, n, simmod._CHUNK))
+        assert here == chunks[::cpus] and multiprocessing.active_children() == []
+        monkeypatch.setattr(simmod, "_FORK_MIN", n + 1)
+        del here[:]
+        alone = monte_carlo_batch(self.RUNS, sim, return_samples=True, per_slot=per_slot)
+        assert here == chunks
+        assert [[_bits(r) for r in reports] for reports in forked] == \
+            [[_bits(r) for r in reports] for reports in alone]
+
+    def test_no_fork_beside_another_thread(self, monkeypatch):
+        # a forked helper would inherit the other thread's locks, held
+        _forking(monkeypatch, 2)
+        rollout, here = simmod._rollout, []
+
+        def counted(live, reads, sim, los, per_slot):
+            here.extend(los)
+            return rollout(live, reads, sim, los, per_slot)
+
+        monkeypatch.setattr(simmod, "_rollout", counted)
+        done = threading.Event()
+        other = threading.Thread(target=done.wait, args=(60,))
+        other.start()
+        try:
+            monte_carlo_batch(self.RUNS, SimConfig(n_samples=1 << 16))
+        finally:
+            done.set()
+            other.join(60)
+        assert not other.is_alive()
+        assert here == [0, simmod._CHUNK]
+
+    def test_parent_share_raising_leaves_no_helper(self, monkeypatch):
+        _forking(monkeypatch, 2)
+        parent, rollout = os.getpid(), simmod._rollout
+
+        def failing(*args):
+            if os.getpid() == parent:
+                raise RuntimeError("the parent's share failed")
+            return rollout(*args)
+
+        monkeypatch.setattr(simmod, "_rollout", failing)
+        with pytest.raises(RuntimeError, match="the parent's share failed"):
+            monte_carlo_batch(self.RUNS, SimConfig(n_samples=1 << 16))
+        assert multiprocessing.active_children() == []
+
+    def test_helper_exception_is_raised_here(self, monkeypatch):
+        _forking(monkeypatch, 2)
+        parent, rollout = os.getpid(), simmod._rollout
+
+        def failing(*args):
+            if os.getpid() != parent:
+                raise MemoryError("a helper's share failed")
+            return rollout(*args)
+
+        monkeypatch.setattr(simmod, "_rollout", failing)
+        with pytest.raises(MemoryError, match="a helper's share failed"):
+            monte_carlo_batch(self.RUNS, SimConfig(n_samples=1 << 16))
+        assert multiprocessing.active_children() == []
+
+    def test_helper_exiting_without_a_result(self, tmp_path, capsys, monkeypatch):
+        _forking(monkeypatch, 2)
+        parent, rollout = os.getpid(), simmod._rollout
+
+        def exiting(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return rollout(*args)
+
+        monkeypatch.setattr(simmod, "_rollout", exiting)
+        with pytest.raises(ChildProcessError, match=r"\(code 3\) without its result"):
+            monte_carlo_batch(self.RUNS, SimConfig(n_samples=1 << 16))
+        assert multiprocessing.active_children() == []
+        out = tmp_path / "out"
+        assert main(["simulate", "--samples", "70000", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: a Monte Carlo helper exited")
+        assert multiprocessing.active_children() == []
 
 
 class TestBaselines:
