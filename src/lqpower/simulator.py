@@ -327,16 +327,18 @@ def _helper(conn, *args) -> None:
 
 def _chunks(live, reads, sim: SimConfig, los, per_slot: bool) -> list[list[tuple]]:
     """`_rollout` of every chunk of `los`, in chunk order.  From _FORK_MIN
-    replications on, in a process of one thread with W > 1 usable CPUs (at most
-    one per chunk), this process rolls out chunks 0, W, 2W, ... and forked
-    helper w chunks w, w + W, ...  A helper that exits without a result raises
-    ChildProcessError; no helper outlives the call."""
+    replications on, in a non-daemon process of one thread with W > 1 usable
+    CPUs (at most one per chunk), this process rolls out chunks 0, W, 2W, ...
+    and forked helper w chunks w, w + W, ...  A helper that exits without a
+    result raises ChildProcessError; no helper outlives the call."""
     # every platform with sched_getaffinity can fork
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     # a fork copies this thread alone: a lock that another thread holds stays held
     if sim.n_samples < _FORK_MIN or cpus < 2 or threading.active_count() > 1:
         return _rollout(live, reads, sim, los, per_slot)
     import multiprocessing   # here: its import costs about 12 ms
+    if multiprocessing.current_process().daemon:   # a pool's worker may have no children
+        return _rollout(live, reads, sim, los, per_slot)
     context, helpers, W = multiprocessing.get_context("fork"), [], min(cpus, len(los))
     try:
         for w in range(1, W):

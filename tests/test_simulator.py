@@ -660,6 +660,17 @@ class TestForkedRollout:
         assert not other.is_alive()
         assert here == [0, simmod._CHUNK]
 
+    def test_runs_in_a_pool_worker(self, monkeypatch):
+        # a daemon process, such as a multiprocessing pool's worker, may not
+        # start processes of its own: there the rollout stays in process
+        _forking(monkeypatch, 2)
+        sim = SimConfig(n_samples=1 << 16)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            in_worker = pool.apply(monte_carlo_batch, (self.RUNS, sim))
+        here = monte_carlo_batch(self.RUNS, sim)
+        assert [[_bits(r) for r in reports] for reports in in_worker] == \
+            [[_bits(r) for r in reports] for reports in here]
+
     def test_parent_share_raising_leaves_no_helper(self, monkeypatch):
         _forking(monkeypatch, 2)
         parent, rollout = os.getpid(), simmod._rollout
