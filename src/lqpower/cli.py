@@ -24,16 +24,6 @@ from pathlib import Path
 
 from . import experiments as exp
 
-# What --plot draws, per command or figure: (plot kind, script name, log-y).
-# The script plots the output CSVs whose names start with the kind.
-_PLOTS = {
-    "optimize": ("policy", "policy.gp", False),
-    "compare": ("comparison", "comparison.gp", True),
-    "fig2": ("policy", "fig2.gp", False),
-    "fig3": ("policy", "fig3.gp", False),
-    "fig4": ("comparison", "fig4.gp", True),
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse, with each usage error one "error: ..." line and exit 2.
@@ -158,10 +148,13 @@ def _main(argv) -> int:
         else:
             res = exp.run_figure(cfg, args.which)
         if getattr(args, "plot", False):
-            kind, script, logy = _PLOTS[getattr(args, "which", args.command)]
+            # comparison.csv, if the run wrote it, on a log y axis; else policy*.csv
+            names = [f.name for f in res["files"]]
+            kind = "comparison" if "comparison.csv" in names else "policy"
+            script = f"{getattr(args, 'which', kind)}.gp"
             res["files"].append(exp.emit_plot_script(
                 [f for f in res["files"] if f.name.startswith(kind)], kind,
-                Path(cfg.output_dir) / script, logy=logy))
+                Path(cfg.output_dir) / script, logy=kind == "comparison"))
     # OSError: an unwritable --out; MemoryError: a horizon too long to allocate
     except (exp.ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -38,6 +38,7 @@ __all__ = [
     "FIG2_VARIANTS",
     "FIG3_SIGMA_D2_VALUES",
     "FIG4_HORIZONS",
+    "SWEEP_PARAMETERS",
 ]
 
 

@@ -89,17 +89,29 @@ def _shown(value):
     return value
 
 
+def _as_python(params) -> None:
+    """Store each numpy number field of frozen, checked params as a Python
+    float or int: numpy 2 keeps float32 arithmetic with a Python float in
+    float32, and an int8 or int64 product wraps around."""
+    for name, value in vars(params).items():   # only values change: iterating stays valid
+        if isinstance(value, np.integer):
+            object.__setattr__(params, name, int(value))
+        elif isinstance(value, np.floating):
+            object.__setattr__(params, name, float(value))
+
+
 def _require_finite(params, section: str, names: tuple[str, ...], bound: str = "") -> None:
     """Reject booleans, non-numbers, NaN and infinite values (ints too large
     for a float among them) and, given the bound "> 0" or ">= 0", values
-    outside it, naming the key."""
+    whose float is outside it, naming the key."""
     for name in names:
         value = getattr(params, name)
         if not _is_real(value):
             raise ValueError(f"{section}.{name} must be a real number (got {value!r})")
-        if not math.isfinite(_float(value)):
+        x = _float(value)
+        if not math.isfinite(x):
             raise ValueError(f"{section}.{name} must be finite (got {_shown(value)})")
-        if bound and not (value > 0 or bound == ">= 0" and value == 0):
+        if bound and not (x > 0 or bound == ">= 0" and x == 0):
             raise ValueError(f"{section}.{name} must be {bound} (got {value})")
 
 
@@ -122,6 +134,7 @@ class SystemParams:
         _require_finite(self, "sys", ("sigma_x2", "sigma_d2"), ">= 0")
         if not (_is_integer(self.T) and self.T >= 1):
             raise ValueError(f"sys.T must be an integer >= 1 (got {_shown(self.T)})")
+        _as_python(self)
         for name in ("a", "b", "k"):
             try:  # the model squares them; a Python float's square raises
                 float(getattr(self, name)) ** 2
@@ -168,6 +181,7 @@ class ChannelParams:
 
     def __post_init__(self):
         _require_finite(self, "ch", ("gamma", "sigma2", "gbar", "p_max"), "> 0")
+        _as_python(self)
         # pi_max is 0 also for an infinite theta; outside (0, 1) the cap's
         # power -theta/ln(pi_max) is inf or 0
         if not 0 < self.pi_max < 1:

@@ -43,6 +43,7 @@ from .model import (
     ChannelParams,
     RecursionTables,
     SystemParams,
+    _as_python,
     _fill_tables,
     _float,
     _is_integer,
@@ -97,6 +98,7 @@ class OptimizerConfig:
                              f"(got {_shown(self.ex2_1)!r})")
         if self.init not in ("zero", "full"):
             raise ValueError(f"opt.init must be 'zero' or 'full' (got {self.init!r})")
+        _as_python(self)
 
 
 @dataclass

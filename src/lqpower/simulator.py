@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .model import (ChannelParams, SystemParams, _is_integer, _require_finite, _shown,
-                    policy_to_success)
+from .model import (ChannelParams, SystemParams, _as_python, _is_integer, _require_finite,
+                    _shown, policy_to_success)
 
 __all__ = [
     "SimConfig",
@@ -83,6 +83,7 @@ class SimConfig:
             raise ValueError(f"sim.seed must be an integer in [0, 2**64 - 1] "
                              f"(got {_shown(self.seed)!r})")
         _require_finite(self, "sim", ("x1",))
+        _as_python(self)
 
 
 @dataclass
@@ -415,7 +416,7 @@ def monte_carlo_batch(runs, sim: SimConfig, return_samples: bool = False,
     reads = normal + Counter([("uniform", j) for s in live for j in s.channel_draws]
                              + [("uniform", j) for _, j in normal])
     los = range(0, sim.n_samples, _CHUNK)
-    chunks = _chunks(live, reads, sim, los, per_slot)
+    chunks = _chunks(live, reads, sim, los, per_slot) if live else []
     # the per-slot sums and the squares of the merge may overflow: reports() raises
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, chunk in zip(los, chunks):

@@ -1,7 +1,10 @@
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr
 from dataclasses import asdict, replace
@@ -677,6 +680,24 @@ class TestPlotScripts:
         rc = main(["optimize", "--preset", "fig2", "--plot", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "policy.gp").exists()
+
+    def test_module_entry_point_in_a_fresh_interpreter(self, tmp_path, capsys):
+        # python -m lqpower runs __main__.py, which imports the package cold
+        argv = ["optimize", "--preset", "fig2", "--plot", "--out"]
+        assert main([*argv, str(tmp_path / "here")]) == 0
+        here = capsys.readouterr().out
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-m", "lqpower", *argv,
+                               str(tmp_path / "there")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == here.replace(str(tmp_path / "here"), str(tmp_path / "there"))
+        files = [{p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+                 for d in ("here", "there")]
+        assert files[0] == files[1] and sorted(files[0]) == [
+            "policy.csv", "policy.gp", "trace.csv"]
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--preset", "fig2"],

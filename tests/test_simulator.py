@@ -639,6 +639,16 @@ class TestForkedRollout:
         assert [[_bits(r) for r in reports] for reports in forked] == \
             [[_bits(r) for r in reports] for reports in alone]
 
+    def test_empty_batch_rolls_nothing_out(self, monkeypatch):
+        # no scenario with a policy: no chunk's keys are made, no helper forks
+        _forking(monkeypatch, 2)
+        calls = []
+        for name in ("_stream_keys", "_rollout"):
+            monkeypatch.setattr(simmod, name, lambda *args, name=name: calls.append(name))
+        assert monte_carlo_batch([], SimConfig(n_samples=10**6)) == []
+        assert monte_carlo_batch([(_sys(), CH, [])], SimConfig(n_samples=10**7)) == [[]]
+        assert calls == [] and multiprocessing.active_children() == []
+
     def test_no_fork_beside_another_thread(self, monkeypatch):
         # a forked helper would inherit the other thread's locks, held
         _forking(monkeypatch, 2)
