@@ -740,6 +740,20 @@ class TestGoldenOutputs:
         for fname in names:
             assert (tmp_path / fname).read_bytes() == (golden / fname).read_bytes(), fname
 
+    # tests/data/golden/plots/ holds the scripts --plot wrote before
+    # emit_plot_script picked its own CSVs, axis and file name
+    @pytest.mark.parametrize("script,argv", [
+        ("fig2.gp", ["figure", "fig2"]),
+        ("fig4.gp", ["figure", "fig4"]),
+        ("policy.gp", ["optimize", "--preset", "fig2"]),
+        ("comparison.gp", ["compare", "--preset", "fig4", "--horizons", "2:3",
+                           "--samples", "100"]),
+    ])
+    def test_plot_script_matches_committed_bytes(self, tmp_path, script, argv):
+        assert main([*argv, "--plot", "--out", str(tmp_path)]) == 0
+        golden = DATA / "golden" / "plots" / script
+        assert (tmp_path / script).read_bytes() == golden.read_bytes()
+
 
 # Extreme finite inputs: subnormals, the smallest normal, the largest
 # float and magnitudes whose squares or products overflow.
