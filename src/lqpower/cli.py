@@ -20,7 +20,6 @@ import argparse
 import re
 import sys as _sys
 import warnings
-from pathlib import Path
 
 from . import experiments as exp
 
@@ -127,12 +126,9 @@ def main(argv=None) -> int:
 def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
-        preset = args.preset
-        if args.command == "figure" and preset is None:
-            preset = args.which
         cfg = exp.load_config(
             path=args.config,
-            preset=preset,
+            preset=args.preset or getattr(args, "which", None),   # figure's own by default
             seed=args.seed,
             samples=args.samples,
             output_dir=args.out,
@@ -148,13 +144,8 @@ def _main(argv) -> int:
         else:
             res = exp.run_figure(cfg, args.which)
         if getattr(args, "plot", False):
-            # comparison.csv, if the run wrote it, on a log y axis; else policy*.csv
-            names = [f.name for f in res["files"]]
-            kind = "comparison" if "comparison.csv" in names else "policy"
-            script = f"{getattr(args, 'which', kind)}.gp"
             res["files"].append(exp.emit_plot_script(
-                [f for f in res["files"] if f.name.startswith(kind)], kind,
-                Path(cfg.output_dir) / script, logy=kind == "comparison"))
+                res["files"], cfg.output_dir, getattr(args, "which", None)))
     # OSError: an unwritable --out; MemoryError: a horizon too long to allocate
     except (exp.ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ChannelParams, SystemParams, _is_real, _shown
+from .model import ChannelParams, SystemParams, _is_integer, _is_real, _shown
 from .optimizer import OptimizerConfig, optimize_policies, optimize_policy
 from .simulator import SimConfig, baseline_policy, monte_carlo_batch, monte_carlo_cost
 
@@ -179,15 +179,18 @@ def load_config(
             if section in layer:
                 values[section].update(_cast_section(section, layer[section]))
 
-    directory = raw.get("output_dir", ExperimentConfig.output_dir)
-    if not (isinstance(directory, str) and directory):
-        raise ConfigError(
-            f"bad value for output_dir: {directory!r} (expected a non-empty string)")
+    directories = [raw.get("output_dir", ExperimentConfig.output_dir)]
+    if output_dir is not None:   # the flag wins; the file's value is still checked
+        directories.append(output_dir)
+    for directory in directories:
+        if not (isinstance(directory, str) and directory):
+            raise ConfigError(
+                f"bad value for output_dir: {directory!r} (expected a non-empty string)")
     try:
         return ExperimentConfig(
             **{section: cls(**values[section]) for section, cls in _SECTIONS.items()},
             preset=preset_name,
-            output_dir=output_dir or directory,
+            output_dir=directories[-1],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -319,8 +322,10 @@ def run_compare(cfg: ExperimentConfig, horizons) -> dict:
     prints each policy's mean cost and standard error only, so the rollout
     keeps no per-slot sums and the reports carry no per_slot.
     """
-    horizons = [int(T) for T in horizons]
+    horizons = list(horizons)
     for T in horizons:
+        if not _is_integer(T):
+            raise ConfigError(f"horizon values must be integers (got {T!r})")
         if T < 1:
             raise ConfigError(f"horizon values must be >= 1 (got {_shown(T)})")
     runs, traces, error = [], [], None
@@ -362,6 +367,10 @@ def run_sweep(cfg: ExperimentConfig, parameter: str, values) -> dict:
         raise ConfigError(
             f"unknown sweep parameter {parameter!r} "
             f"(valid: {', '.join(SWEEP_PARAMETERS)})")
+    values = list(values)
+    for value in values:
+        if not _is_real(value):
+            raise ConfigError(f"sweep values must be real numbers (got {value!r})")
     scenarios = [(v, f"{parameter}_{v:g}", {parameter: v}) for v in map(float, values)]
     seen = {}
     for value, label, _ in scenarios:
@@ -391,43 +400,36 @@ def run_figure(cfg: ExperimentConfig, which: str) -> dict:
 # Plot scripts
 # ----------------------------------------------------------------------------
 
-def emit_plot_script(
-    csv_paths,
-    kind: str,
-    out_path: str | Path,
-    logy: bool = False,
-) -> Path:
-    """Write a self-contained gnuplot script rendering the given CSVs.
+def emit_plot_script(files, out_dir: str | Path, name: str | None = None) -> Path:
+    """Write a self-contained gnuplot script rendering the CSVs a run wrote.
 
-    kind "policy" draws power-vs-slot stem plots (one impulse series per
-    file, columns t and p); kind "comparison" draws the three cost-vs-horizon
-    series of a comparison CSV.  logy switches the y axis to log scale,
-    useful when costs span orders of magnitude.
+    files are the run's files.  If comparison.csv is among them, the script
+    draws its three cost-vs-horizon series on a log y axis, since the costs
+    span orders of magnitude; otherwise it draws every policy*.csv as a
+    power-vs-slot stem plot (one impulse series per file, columns t and p).
+    The script is out_dir/<name>.gp, and name defaults to "comparison" or
+    "policy", after the plot.
     """
-    csv_paths = [Path(p) for p in csv_paths]
+    files = [Path(p) for p in files]
+    comparison = [p for p in files if p.name == "comparison.csv"]
+    csv_paths = comparison or [p for p in files if p.match("policy*.csv")]
+    if not csv_paths:
+        raise ValueError("no comparison.csv or policy*.csv to plot")
     for p in csv_paths:
         if not p.exists():
             raise FileNotFoundError(f"missing CSV: {p}")
-    out_path = Path(out_path)
+    name = name or ("comparison" if comparison else "policy")
     lines = [
         "# gnuplot script; run:  gnuplot <this file>",
         "set datafile separator ','",
         "set terminal pngcairo size 960,640",
-        f"set output '{out_path.with_suffix('.png').name}'",
+        f"set output '{name}.png'",
         "set grid",
     ]
-    if logy:
-        lines.append("set logscale y")
-    if kind == "policy":
-        lines += ["set xlabel 't'", "set ylabel 'p_t'"]
-        series = [
-            f"'{p.name}' skip 1 using 1:2 with impulses lw 2 title '{p.stem}'"
-            for p in csv_paths
-        ]
-        lines.append("plot " + ", \\\n     ".join(series))
-    elif kind == "comparison":
-        src = csv_paths[0].name
+    if comparison:
+        src = comparison[0].name
         lines += [
+            "set logscale y",
             "set xlabel 'T'",
             "set ylabel 'average cost'",
             f"plot '{src}' skip 1 using 1:2 with linespoints title 'proposed', \\",
@@ -435,5 +437,8 @@ def emit_plot_script(
             f"     '{src}' skip 1 using 1:6 with linespoints title 'open loop'",
         ]
     else:
-        raise ValueError(f"unknown plot kind {kind!r} (valid: policy, comparison)")
-    return _write_lines(out_path, lines)
+        lines += ["set xlabel 't'", "set ylabel 'p_t'"]
+        series = [f"'{p.name}' skip 1 using 1:2 with impulses lw 2 title '{p.stem}'"
+                  for p in csv_paths]
+        lines.append("plot " + ", \\\n     ".join(series))
+    return _write_lines(Path(out_dir) / f"{name}.gp", lines)

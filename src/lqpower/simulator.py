@@ -247,11 +247,15 @@ class _Scenario:
         return reports
 
 
-def _rollout(live, reads, sim: SimConfig, los, per_slot: bool) -> list[list[tuple]]:
+def _rollout(live, sim: SimConfig, los) -> list[list[tuple]]:
     """Per chunk of `los` (replications lo..lo + _CHUNK), per scenario of `live`:
     the `merge` arguments after the size.  One call serves all of a process's
     chunks: a call per chunk freed every array on return, and paging the heap
     back in made 6.5 times the page faults on 1e6 replications."""
+    normal = Counter(("normal", j) for s in live for j in s.normal_draws)
+    # making a normal column reads its uniform once
+    reads = normal + Counter([("uniform", j) for s in live for j in s.channel_draws]
+                             + [("uniform", j) for _, j in normal])
     n = sim.n_samples
     gain = sim.channel_model == "gain_threshold"
     add = np.add.reduce   # a float64 array's sum, as ndarray.sum takes it
@@ -264,6 +268,7 @@ def _rollout(live, reads, sim: SimConfig, los, per_slot: bool) -> list[list[tupl
             chunk = []
             for s in live:
                 sys, ch, ps, pis = s.sys, s.ch, s.ps, s.pis
+                per_slot = s.slot_sums is not None
                 T, m = sys.T, len(ps)
                 slot_sums = np.zeros((2, m, T)) if per_slot else None
                 q, a, sigma_d, rk2 = sys.q, sys.a, s.sigma_d, sys._coeffs[3]
@@ -326,7 +331,7 @@ def _helper(conn, *args) -> None:
         os._exit(0)
 
 
-def _chunks(live, reads, sim: SimConfig, los, per_slot: bool) -> list[list[tuple]]:
+def _chunks(live, sim: SimConfig, los) -> list[list[tuple]]:
     """`_rollout` of every chunk of `los`, in chunk order.  From _FORK_MIN
     replications on, in a non-daemon process of one thread with W > 1 usable
     CPUs (at most one per chunk), this process rolls out chunks 0, W, 2W, ...
@@ -336,20 +341,20 @@ def _chunks(live, reads, sim: SimConfig, los, per_slot: bool) -> list[list[tuple
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     # a fork copies this thread alone: a lock that another thread holds stays held
     if sim.n_samples < _FORK_MIN or cpus < 2 or threading.active_count() > 1:
-        return _rollout(live, reads, sim, los, per_slot)
+        return _rollout(live, sim, los)
     import multiprocessing   # here: its import costs about 12 ms
     if multiprocessing.current_process().daemon:   # a pool's worker may have no children
-        return _rollout(live, reads, sim, los, per_slot)
+        return _rollout(live, sim, los)
     context, helpers, W = multiprocessing.get_context("fork"), [], min(cpus, len(los))
     try:
         for w in range(1, W):
             receiver, sender = context.Pipe(duplex=False)
             helper = context.Process(target=_helper,
-                                     args=(sender, live, reads, sim, los[w::W], per_slot))
+                                     args=(sender, live, sim, los[w::W]))
             helper.start()
             sender.close()   # so that the receiver reads EOF once the helper exits
             helpers.append((helper, receiver))
-        parts = [_rollout(live, reads, sim, los[0::W], per_slot)]
+        parts = [_rollout(live, sim, los[0::W])]
         for helper, receiver in helpers:   # recv before join: a result can fill the pipe
             try:
                 parts.append(receiver.recv())
@@ -411,12 +416,8 @@ def monte_carlo_batch(runs, sim: SimConfig, return_samples: bool = False,
             error = exc
             break
     live = [s for s in scenarios if s.ps]   # a scenario without policies reads nothing
-    normal = Counter(("normal", j) for s in live for j in s.normal_draws)
-    # making a normal column reads its uniform once
-    reads = normal + Counter([("uniform", j) for s in live for j in s.channel_draws]
-                             + [("uniform", j) for _, j in normal])
     los = range(0, sim.n_samples, _CHUNK)
-    chunks = _chunks(live, reads, sim, los, per_slot) if live else []
+    chunks = _chunks(live, sim, los) if live else []
     # the per-slot sums and the squares of the merge may overflow: reports() raises
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, chunk in zip(los, chunks):

@@ -182,6 +182,37 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="not found"):
             load_config(path="/nonexistent/cfg.json")
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"sys": [1.1]}', "config section 'sys' must be an object"),
+        ('{"sys": ', "config file is not valid JSON: Expecting value: line 1 column 9"),
+        ("[1, 2]", "config root must be a JSON object"),
+        ('{"plant": {}, "sys": {}, "extra": 1}', "unknown config section(s): extra, plant"),
+    ])
+    def test_malformed_file_is_named(self, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            load_config(path=path)
+        assert str(exc.value).startswith(message)
+
+    def test_empty_out_flag_is_refused(self, tmp_path, capsys, monkeypatch):
+        # as "output_dir": "" in a file is; it used to fall back to ./out
+        monkeypatch.chdir(tmp_path)
+        message = "bad value for output_dir: '' (expected a non-empty string)"
+        with pytest.raises(ConfigError) as exc:
+            load_config(output_dir="")
+        assert str(exc.value) == message
+        assert main(["optimize", "--preset", "fig2", "--out", ""]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not any(tmp_path.iterdir())
+        # the flag overrides a file's output_dir, which is still checked
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"output_dir": "from_file"}))
+        assert load_config(path=path, output_dir="flag").output_dir == "flag"
+        path.write_text(json.dumps({"output_dir": 7}))
+        with pytest.raises(ConfigError, match="bad value for output_dir: 7"):
+            load_config(path=path, output_dir="flag")
+
     def test_int_too_long_to_read_names_the_file(self, tmp_path, capsys):
         # the JSON parser itself refuses an int of more than 4300 digits,
         # with Python's ValueError, before any key is known
@@ -360,6 +391,16 @@ class TestCompareCommand:
                    "--out", str(tmp_path)])
         assert rc != 0
         assert capsys.readouterr().err.startswith("error:")
+        assert main(["compare", "--horizons", "0:2", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: horizon values must be >= 1 (got 0)"]
+        assert not any(tmp_path.iterdir())
+
+    def test_no_horizons(self):
+        with pytest.raises(ConfigError) as exc:
+            _parse_horizons(",")
+        assert str(exc.value) == "no horizons in ','"
+        assert _parse_horizons("2,,3") == [2, 3]   # a blank part is skipped
 
     def test_reversed_horizon_range(self, tmp_path, capsys):
         rc = main(["compare", "--preset", "fig4", "--horizons", "2,9:3",
@@ -407,6 +448,47 @@ class TestCompareFailures:
                      "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.splitlines() == [error]
         assert not (tmp_path / "out").exists()
+
+
+def _no_descent(*args, **kwargs):
+    raise AssertionError("an input that is not valid reached the descent")
+
+
+class TestWorkflowInputs:
+    """run_compare and run_sweep refuse, before any descent, the values a
+    config file refuses: a horizon that is not an integer, a swept value
+    that is not a real number.  They used to cast them with int() and
+    float()."""
+
+    @pytest.mark.parametrize("horizons,shown", [
+        ([2.7, True], "2.7"), ([True], "True"), (["3"], "'3'"), ([2, 3.0], "3.0")])
+    def test_horizons_must_be_integers(self, tmp_path, monkeypatch, horizons, shown):
+        monkeypatch.setattr(experiments, "optimize_policies", _no_descent)
+        cfg = load_config(output_dir=str(tmp_path / "out"))
+        with pytest.raises(ConfigError) as exc:
+            run_compare(cfg, horizons)
+        assert str(exc.value) == f"horizon values must be integers (got {shown})"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("values,shown", [
+        ([True], "True"), (["0.1"], "'0.1'"), ([0.0, None], "None")])
+    def test_sweep_values_must_be_real(self, tmp_path, monkeypatch, values, shown):
+        monkeypatch.setattr(experiments, "optimize_policies", _no_descent)
+        cfg = load_config(output_dir=str(tmp_path / "out"))
+        with pytest.raises(ConfigError) as exc:
+            run_sweep(cfg, "sigma_d2", values)
+        assert str(exc.value) == f"sweep values must be real numbers (got {shown})"
+        assert not (tmp_path / "out").exists()
+
+    def test_numpy_numbers_are_taken(self, tmp_path):
+        def files(run, *args):
+            out = tmp_path / str(len(list(tmp_path.iterdir())))
+            run(load_config(preset="fig4", samples=200, output_dir=str(out)), *args)
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        assert files(run_compare, [np.int64(2), np.uint8(3)]) == files(run_compare, [2, 3])
+        assert files(run_sweep, "q", [np.float32(2.5), 1]) == \
+            files(run_sweep, "q", [2.5, 1.0])
 
 
 class TestOverflowIsOneErrorLine:
@@ -651,11 +733,17 @@ class TestFigureCommand:
         assert energies == sorted(energies)
 
 
+    def test_unknown_figure(self):
+        with pytest.raises(ConfigError) as exc:
+            experiments.run_figure(load_config(), "fig9")
+        assert str(exc.value) == "unknown figure 'fig9' (valid: fig2, fig3, fig4)"
+
+
 class TestPlotScripts:
     def test_policy_script(self, tmp_path):
         path = tmp_path / "policy.csv"
         path.write_text("t,p,pi\n1,2.0,0.6\n2,0,0\n")
-        script = emit_plot_script([path], "policy", tmp_path / "stem.gp")
+        script = emit_plot_script([path], tmp_path, "stem")
         text = script.read_text()
         assert "impulses" in text
         assert "using 1:2" in text
@@ -665,8 +753,7 @@ class TestPlotScripts:
         path = tmp_path / "comparison.csv"
         path.write_text("T,cost_proposed,se_proposed,cost_full,se_full,"
                         "cost_open,se_open\n1,1,0,2,0,3,0\n")
-        script = emit_plot_script([path], "comparison", tmp_path / "cmp.gp",
-                                  logy=True)
+        script = emit_plot_script([path], tmp_path, "cmp")
         text = script.read_text()
         for cols, title in (("1:2", "proposed"), ("1:4", "full"), ("1:6", "open")):
             assert f"using {cols}" in text and title in text
@@ -674,7 +761,28 @@ class TestPlotScripts:
 
     def test_missing_csv(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            emit_plot_script([tmp_path / "nope.csv"], "policy", tmp_path / "x.gp")
+            emit_plot_script([tmp_path / "policy_nope.csv"], tmp_path)
+
+    def test_picks_the_plot_from_the_files_of_a_run(self, tmp_path):
+        for name in ("policy_a.csv", "policy_b.csv", "index.csv", "trace.csv"):
+            (tmp_path / name).write_text("t,p,pi\n1,2.0,0.6\n")
+        files = sorted(tmp_path.iterdir())
+        script = emit_plot_script(files, tmp_path / "gp")
+        text = script.read_text()
+        assert script == tmp_path / "gp" / "policy.gp"
+        assert "'policy_a.csv'" in text and "'policy_b.csv'" in text
+        assert "index" not in text and "trace" not in text and "logscale" not in text
+        (tmp_path / "comparison.csv").write_text("T,cost_proposed\n1,1\n")
+        script = emit_plot_script([*files, tmp_path / "comparison.csv"], tmp_path)
+        text = script.read_text()
+        assert script == tmp_path / "comparison.gp"
+        assert "set logscale y" in text and "policy_a" not in text
+
+    def test_nothing_to_plot(self, tmp_path):
+        (tmp_path / "trace.csv").write_text("iteration,cost\n0,1\n")
+        with pytest.raises(ValueError, match=r"no comparison\.csv or policy\*\.csv"):
+            emit_plot_script([tmp_path / "trace.csv"], tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.csv"]
 
     def test_cli_plot_flag(self, tmp_path):
         rc = main(["optimize", "--preset", "fig2", "--plot", "--out", str(tmp_path)])

@@ -10,6 +10,7 @@ from lqpower import (
     ChannelParams,
     OptimizerConfig,
     SystemParams,
+    backward_tables,
     baseline_policy,
     compute_tables,
     expected_cost,
@@ -127,6 +128,13 @@ class TestSlotCandidates:
         cands, deltas = slot_candidates(s, CH, tab, np.zeros(1))
         assert cands.tolist() == [[0.0, 0.0]]
         assert deltas.tolist() == [[0.0, 0.0]]
+
+    def test_backward_tables_alone_are_refused(self):
+        # slot_candidates needs the second moments of the forward pass
+        s = SystemParams(T=3)
+        with pytest.raises(ValueError) as exc:
+            slot_candidates(s, CH, backward_tables(s, CH, np.zeros(3)), np.zeros(3))
+        assert str(exc.value) == "tables.ex2 missing: run the forward pass first"
 
     def test_interior_root_candidates(self):
         # craft tables so A = -e exactly; candidates are {0, 1/e}

@@ -623,10 +623,10 @@ class TestForkedRollout:
         _forking(monkeypatch, cpus)
         parent, rollout, here = os.getpid(), simmod._rollout, []
 
-        def counted(live, reads, sim, los, per_slot):
+        def counted(live, sim, los):
             if os.getpid() == parent:
                 here.extend(los)
-            return rollout(live, reads, sim, los, per_slot)
+            return rollout(live, sim, los)
 
         monkeypatch.setattr(simmod, "_rollout", counted)
         forked = monte_carlo_batch(self.RUNS, sim, return_samples=True, per_slot=per_slot)
@@ -654,9 +654,9 @@ class TestForkedRollout:
         _forking(monkeypatch, 2)
         rollout, here = simmod._rollout, []
 
-        def counted(live, reads, sim, los, per_slot):
+        def counted(live, sim, los):
             here.extend(los)
-            return rollout(live, reads, sim, los, per_slot)
+            return rollout(live, sim, los)
 
         monkeypatch.setattr(simmod, "_rollout", counted)
         done = threading.Event()
@@ -742,6 +742,14 @@ class TestBaselines:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             baseline_policy("half_power", CH, 3)
+
+    @pytest.mark.parametrize("kind,T,message", [
+        ("half", 3, "unknown baseline 'half': use 'full_power' or 'open_loop'"),
+        ("open_loop", 0, "T must be >= 1 (got 0)")])
+    def test_errors_are_named(self, kind, T, message):
+        with pytest.raises(ValueError) as exc:
+            baseline_policy(kind, CH, T)
+        assert str(exc.value) == message
 
 
 class TestSimConfigValidation:
