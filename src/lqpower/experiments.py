@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ChannelParams, SystemParams, _is_integer, _is_real, _shown
+from .model import ChannelParams, SystemParams, _float, _is_integer, _is_real, _shown
 from .optimizer import OptimizerConfig, optimize_policies, optimize_policy
 from .simulator import SimConfig, baseline_policy, monte_carlo_batch, monte_carlo_cost
 
@@ -371,7 +371,7 @@ def run_sweep(cfg: ExperimentConfig, parameter: str, values) -> dict:
     for value in values:
         if not _is_real(value):
             raise ConfigError(f"sweep values must be real numbers (got {value!r})")
-    scenarios = [(v, f"{parameter}_{v:g}", {parameter: v}) for v in map(float, values)]
+    scenarios = [(v, f"{parameter}_{v:g}", {parameter: v}) for v in map(_float, values)]
     seen = {}
     for value, label, _ in scenarios:
         if label in seen and seen[label] != value:

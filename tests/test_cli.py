@@ -490,6 +490,13 @@ class TestWorkflowInputs:
         assert files(run_sweep, "q", [np.float32(2.5), 1]) == \
             files(run_sweep, "q", [2.5, 1.0])
 
+    def test_sweep_value_too_large_for_a_float(self, tmp_path):
+        # float() raised OverflowError, which the CLI does not report
+        cfg = load_config(output_dir=str(tmp_path))
+        with pytest.raises(ValueError) as exc:
+            run_sweep(cfg, "q", [10**400])
+        assert str(exc.value) == "sys.q must be finite (got inf)"
+
 
 class TestOverflowIsOneErrorLine:
     """A cost that overflows ends the run with one "error:" line on stderr:
@@ -731,7 +738,6 @@ class TestFigureCommand:
         energies = [float(r[idx_energy]) for r in rows]
         assert actives == sorted(actives)
         assert energies == sorted(energies)
-
 
     def test_unknown_figure(self):
         with pytest.raises(ConfigError) as exc:
