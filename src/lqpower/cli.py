@@ -108,7 +108,14 @@ def _parse_horizons(spec: str) -> list[int]:
 
 
 def _parse_values(spec: str) -> list[float]:
-    return [float(v) for v in spec.split(",") if v.strip()]
+    out = []
+    for part in filter(None, map(str.strip, spec.split(","))):
+        try:
+            out.append(float(part))
+        except ValueError:
+            raise exp.ConfigError(
+                f"bad value {part!r} in {spec!r} (expected a number)") from None
+    return out
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None):

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ChannelParams, SystemParams, _float, _is_integer, _is_real, _shown
+from .model import (ChannelParams, SystemParams, _float, _is_integer, _is_real, _shown,
+                    _until_failure)
 from .optimizer import OptimizerConfig, optimize_policies, optimize_policy
 from .simulator import SimConfig, baseline_policy, monte_carlo_batch, monte_carlo_cost
 
@@ -239,15 +240,10 @@ def _optimize_each(cfg: ExperimentConfig, overrides):
     no valid scenario, or a scenario whose descent overflows, raises its
     ValueError once the scenarios before it have been yielded.
     """
-    scenarios, error = [], None
-    for override in overrides:
-        plant = {k: v for k, v in override.items() if k != "p_max"}
-        channel = {k: v for k, v in override.items() if k == "p_max"}
-        try:
-            scenarios.append((replace(cfg.sys, **plant), replace(cfg.ch, **channel)))
-        except ValueError as exc:
-            error = exc
-            break
+    scenarios, error = _until_failure(
+        (replace(cfg.sys, **{k: v for k, v in override.items() if k != "p_max"}),
+         replace(cfg.ch, **{k: v for k, v in override.items() if k == "p_max"}))
+        for override in overrides)
     for (sys_, ch), trace in zip(scenarios, optimize_policies(scenarios, cfg.opt)):
         yield sys_, ch, trace
     if error is not None:
@@ -323,23 +319,21 @@ def run_compare(cfg: ExperimentConfig, horizons) -> dict:
     keeps no per-slot sums and the reports carry no per_slot.
     """
     horizons = list(horizons)
+    if not horizons:
+        raise ConfigError("no horizons to compare")
     for T in horizons:
         if not _is_integer(T):
             raise ConfigError(f"horizon values must be integers (got {T!r})")
         if T < 1:
             raise ConfigError(f"horizon values must be >= 1 (got {_shown(T)})")
-    runs, traces, error = [], [], None
-    try:
-        for sys_T, ch, trace in _optimize_each(cfg, [{"T": T} for T in horizons]):
-            runs.append((sys_T, ch, [trace.policy,
-                                     baseline_policy("full_power", ch, sys_T.T),
-                                     baseline_policy("open_loop", ch, sys_T.T)]))
-            traces.append(trace)
-    except ValueError as exc:   # the horizons before it still simulate, and fail first
-        error = exc
+    # the horizons before a failure still simulate, and fail first
+    done, error = _until_failure(_optimize_each(cfg, [{"T": T} for T in horizons]))
+    runs = [(sys_T, ch, [trace.policy, baseline_policy("full_power", ch, sys_T.T),
+                         baseline_policy("open_loop", ch, sys_T.T)])
+            for sys_T, ch, trace in done]
     rows, results = [], []
     batch = monte_carlo_batch(runs, cfg.sim, per_slot=False)
-    for T, trace, reports in zip(horizons, traces, batch):
+    for T, (_, _, trace), reports in zip(horizons, done, batch):
         reports = dict(zip(("proposed", "full", "open"), reports))
         rows.append([T, *(x for rep in reports.values()
                           for x in (rep.mean_cost, rep.std_err))])

@@ -68,6 +68,17 @@ def _float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _until_failure(items) -> tuple[list, ValueError | None]:
+    """The items an iterable makes up to its first ValueError, and that error or None."""
+    done = []
+    try:
+        for item in items:
+            done.append(item)
+    except ValueError as exc:
+        return done, exc
+    return done, None
+
+
 class _Text(str):
     """A message fragment that formats as itself under str() and repr()."""
 
@@ -377,24 +388,15 @@ def _check(tail: np.ndarray | None, ex2: np.ndarray | None) -> None:
 
 
 def _update_tables(sys: SystemParams, pi: np.ndarray, fbar: np.ndarray,
-                   ex2: np.ndarray, t: int) -> None:
-    """Rerun the backward pass from slot t and the forward one from t, and check.
+                   ex2: np.ndarray, top: int, bottom: int) -> None:
+    """Rerun the backward pass from slot top (from fbar[top+1]) and the
+    forward one from slot bottom (from ex2[bottom]) in place, and check.
 
-    After a change of pi_t alone this gives compute_tables's fbar and ex2
-    bit for bit in T slot-steps.
+    From (T-1, 0) this fills a row's tables; from (t, t) after a change of
+    pi_t alone, it gives compute_tables's fbar and ex2 bit for bit.
     """
-    fbar[t::-1] = _backward(sys, pi, float(fbar[t + 1]), t)
-    ex2[t + 1:] = _forward(sys, pi, float(ex2[t]), t)
-    _check(fbar, ex2)
-
-
-def _fill_tables(sys: SystemParams, pi: np.ndarray, fbar: np.ndarray,
-                 ex2: np.ndarray) -> None:
-    """Fill fbar and ex2 in place from fbar[T] = 0 and ex2[0] = E[x_1^2]:
-    the backward pass from slot T-1, the forward one from slot 0, and the
-    check of _update_tables."""
-    fbar[sys.T - 1::-1] = _backward(sys, pi, 0.0, sys.T - 1)
-    ex2[1:] = _forward(sys, pi, float(ex2[0]), 0)
+    fbar[top::-1] = _backward(sys, pi, float(fbar[top + 1]), top)
+    ex2[bottom + 1:] = _forward(sys, pi, float(ex2[bottom]), bottom)
     _check(fbar, ex2)
 
 

@@ -19,14 +19,14 @@ W the longest horizon: the policy, its pi and powers, its fbar and ex2
 tables.  Each row keeps its scenario's own SystemParams and ChannelParams,
 which derive their constants (a^2, c, r k^2, theta, pi_max) once, and
 beside them its exact cost and cost history.  At the start the cost is
-expected_cost's, and the row's tables take one backward and one forward
-pass, checked as a move's are.  Each iteration scores all rows still
-descending with one set of array operations; then each row adopts its own
-move: writing slot t* reruns, in place on the row, the backward pass from
-t* down to slot 0 and the forward pass from t* to T-1, T slot-steps
-bit-equal to full tables, plus O(T) array work.  The moved slot's pi comes
-from the same np.exp as policy_to_success and pi_max, so a move to the cap
-stays within it.
+expected_cost's, and model._update_tables(T-1, 0) fills the row's tables
+from slots T-1 (backward) and 0 (forward).  Each iteration scores all rows
+still descending with one set of array operations; then each row adopts
+its own move: writing slot t* reruns _update_tables(t*, t*) in place on
+the row, the backward pass from t* down to slot 0 and the forward pass
+from t* to T-1, T slot-steps bit-equal to full tables, plus O(T) array
+work.  The moved slot's pi comes from the same np.exp as policy_to_success
+and pi_max, so a move to the cap stays within it.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .model import (
     RecursionTables,
     SystemParams,
     _as_python,
-    _fill_tables,
     _float,
     _is_integer,
     _is_real,
@@ -272,7 +271,7 @@ class _Batch:
                 pi = policy_to_success(policy, ch)
                 cost = expected_cost(sys, ch, pi, ex2_1)  # moments checked before tails
                 row.pi[:], row.ex2[0] = pi, ex2_1
-                _fill_tables(sys, row.pi, row.fbar, row.ex2)
+                _update_tables(sys, row.pi, row.fbar, row.ex2, sys.T - 1, 0)
             except ValueError as exc:
                 self._leave(i, exc)
                 continue
@@ -333,7 +332,7 @@ class _Batch:
             row.policy[t], pi[t], row.weight[t] = p, pi_t, q + rk2 * pi_t
             row.power[t] = -ch.theta / np.log(pi_t) if pi_t > 0 else 0.0
             try:
-                _update_tables(sys, pi, row.fbar, row.ex2, t)
+                _update_tables(sys, pi, row.fbar, row.ex2, t, t)
                 cost = _total_cost(row.weight, row.ex2, pi, row.power)
             except ValueError as exc:
                 self._leave(i, exc)

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .model import (ChannelParams, SystemParams, _as_python, _is_integer, _require_finite,
-                    _shown, policy_to_success)
+                    _shown, _until_failure, policy_to_success)
 
 __all__ = [
     "SimConfig",
@@ -408,13 +408,9 @@ def monte_carlo_batch(runs, sim: SimConfig, return_samples: bool = False,
     while the mean and std_err stay finite, so that case raises only with
     per_slot (within a chunk the mean, of terms >= 0, overflows as well).
     """
-    scenarios, error = [], None
-    for sys, ch, policies in runs:
-        try:
-            scenarios.append(_Scenario(sys, ch, policies, sim, return_samples, per_slot))
-        except ValueError as exc:
-            error = exc
-            break
+    scenarios, error = _until_failure(
+        _Scenario(sys, ch, policies, sim, return_samples, per_slot)
+        for sys, ch, policies in runs)
     live = [s for s in scenarios if s.ps]   # a scenario without policies reads nothing
     los = range(0, sim.n_samples, _CHUNK)
     chunks = _chunks(live, sim, los) if live else []

@@ -480,6 +480,16 @@ class TestWorkflowInputs:
         assert str(exc.value) == f"sweep values must be real numbers (got {shown})"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("horizons", [[], range(5, 2)])
+    def test_no_horizons_to_compare(self, tmp_path, monkeypatch, horizons):
+        # the CLI refuses --horizons , as well; an empty sweep is allowed
+        monkeypatch.setattr(experiments, "optimize_policies", _no_descent)
+        cfg = load_config(output_dir=str(tmp_path / "out"))
+        with pytest.raises(ConfigError) as exc:
+            run_compare(cfg, horizons)
+        assert str(exc.value) == "no horizons to compare"
+        assert not (tmp_path / "out").exists()
+
     def test_numpy_numbers_are_taken(self, tmp_path):
         def files(run, *args):
             out = tmp_path / str(len(list(tmp_path.iterdir())))
@@ -643,6 +653,15 @@ class TestSweepCommand:
         assert main(["sweep", "--preset", "fig2", "--param", "q",
                      "--values", "2,2", "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("spec,part", [("1,x", "x"), ("0.5, 1e ,2", "1e"), ("1,,y", "y")])
+    def test_unparsable_value_named(self, tmp_path, capsys, monkeypatch, spec, part):
+        monkeypatch.setattr(experiments, "optimize_policies", _no_descent)
+        rc = main(["sweep", "--param", "q", f"--values={spec}", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: bad value {part!r} in {spec!r} (expected a number)"]
+        assert not any(tmp_path.iterdir())
+
     def test_empty_values(self, tmp_path):
         rc = main(["sweep", "--param", "q", "--values", "",
                    "--out", str(tmp_path)])
@@ -685,11 +704,12 @@ class TestSweepFailures:
         # but q = 2 comes first in input order
         update, moves = optimizer._update_tables, {}
 
-        def failing(sys, pi, fbar, ex2, t):
-            moves[sys.q] = moves.get(sys.q, 0) + 1
-            if (sys.q, moves[sys.q]) in ((2.0, 2), (3.0, 1)):
-                raise ValueError(f"tail factor overflow at q = {sys.q:g}")
-            update(sys, pi, fbar, ex2, t)
+        def failing(sys, pi, fbar, ex2, top, bottom):
+            if top == bottom:   # a move, not the start's (T-1, 0)
+                moves[sys.q] = moves.get(sys.q, 0) + 1
+                if (sys.q, moves[sys.q]) in ((2.0, 2), (3.0, 1)):
+                    raise ValueError(f"tail factor overflow at q = {sys.q:g}")
+            update(sys, pi, fbar, ex2, top, bottom)
 
         monkeypatch.setattr(optimizer, "_update_tables", failing)
         assert self._sweep(tmp_path, "q", "1,2,3") == 1
@@ -795,15 +815,17 @@ class TestPlotScripts:
         assert rc == 0
         assert (tmp_path / "policy.gp").exists()
 
-    def test_module_entry_point_in_a_fresh_interpreter(self, tmp_path, capsys):
-        # python -m lqpower runs __main__.py, which imports the package cold
+    @pytest.mark.parametrize("module", ["lqpower", "lqpower.cli"])
+    def test_module_entry_point_in_a_fresh_interpreter(self, tmp_path, capsys, module):
+        # python -m lqpower runs __main__.py, which imports the package cold;
+        # python -m lqpower.cli runs cli.py's own __main__ block
         argv = ["optimize", "--preset", "fig2", "--plot", "--out"]
         assert main([*argv, str(tmp_path / "here")]) == 0
         here = capsys.readouterr().out
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        proc = subprocess.run([sys.executable, "-m", "lqpower", *argv,
+        proc = subprocess.run([sys.executable, "-m", module, *argv,
                                str(tmp_path / "there")],
                               capture_output=True, text=True, env=env, timeout=120)
         assert (proc.returncode, proc.stderr) == (0, "")

@@ -399,7 +399,7 @@ class TestPartialUpdate:
             tab = compute_tables(s, ch, pi, ex2_1)
             t = int(rng.integers(s.T))
             pi[t] = rng.choice([0.0, ch.pi_max, rng.uniform(0, ch.pi_max)])
-            _update_tables(s, pi, tab.fbar, tab.ex2, t)
+            _update_tables(s, pi, tab.fbar, tab.ex2, t, t)
             full = compute_tables(s, ch, pi, ex2_1)
             assert np.array_equal(tab.fbar, full.fbar)
             assert np.array_equal(tab.ex2, full.ex2)
@@ -422,7 +422,7 @@ class TestPartialUpdate:
         with pytest.raises(ValueError, match=match):
             compute_tables(s, ch, pi, ex2_1)
         with pytest.raises(ValueError, match=match):
-            _update_tables(s, pi, tab.fbar, tab.ex2, t)
+            _update_tables(s, pi, tab.fbar, tab.ex2, t, t)
 
 
 class TestNonFiniteMoments:

@@ -665,8 +665,8 @@ class TestOptimizePolicies:
         # own SystemParams and ChannelParams, never a record that copies them
         scenarios = [(NOMINAL, CH), (replace(NOMINAL, k=1.8, sigma_d2=0.05, T=12),
                                      ChannelParams(p_max=0.4))]
-        seen = {"_fill_tables": [], "_update_tables": [], "success_to_power": []}
-        for name, at in [("_fill_tables", 0), ("_update_tables", 0), ("success_to_power", 1)]:
+        seen = {"_update_tables": [], "success_to_power": []}
+        for name, at in [("_update_tables", 0), ("success_to_power", 1)]:
             def spy(*args, _seen=seen[name], _at=at, _original=getattr(optimizer, name)):
                 _seen.append(args[_at])
                 return _original(*args)
@@ -677,8 +677,7 @@ class TestOptimizePolicies:
                 batch.step()
         assert all(isinstance(o, optimizer.OptimizationTrace) for o in batch.outcomes)
         systems, channels = [s for s, _ in scenarios], [ch for _, ch in scenarios]
-        for name, own in [("_fill_tables", systems), ("_update_tables", systems),
-                          ("success_to_power", channels)]:
+        for name, own in [("_update_tables", systems), ("success_to_power", channels)]:
             assert {id(x) for x in seen[name]} == {id(x) for x in own}, name
         assert all(row.sys is s and row.ch is ch
                    for row, (s, ch) in zip(batch.rows, scenarios))
@@ -688,6 +687,22 @@ class TestOptimizePolicies:
         copies |= {"_coeffs", "closed_loop_coeff", "theta", "pi_max"}
         assert not copies & set(optimizer._Row.__slots__)
         assert not hasattr(batch, "history") and not hasattr(batch, "k_max")
+
+    def test_start_tables_are_compute_tables(self):
+        # the start fills each row's tables from slots (T-1, 0) in place;
+        # the slots past a row's horizon stay 0
+        rng = np.random.default_rng(25)
+        scenarios = [(NOMINAL, CH), (replace(NOMINAL, k=1.8, sigma_d2=0.05, T=12),
+                                     ChannelParams(p_max=0.4)),
+                     (replace(NOMINAL, T=1), CH), (replace(NOMINAL, a=0.9, T=7), CH)]
+        policies = [rng.uniform(0, ch.p_max, s.T) for s, ch in scenarios]
+        batch = optimizer._Batch(scenarios, policies, CFG)
+        assert batch.active == [0, 1, 2, 3]
+        for i, ((s, ch), policy) in enumerate(zip(scenarios, policies)):
+            tab = compute_tables(s, ch, policy_to_success(policy, ch), CFG.ex2_1)
+            assert np.array_equal(batch.fbar[i, :s.T + 1], tab.fbar)
+            assert np.array_equal(batch.ex2[i, :s.T], tab.ex2)
+            assert not batch.fbar[i, s.T + 1:].any() and not batch.ex2[i, s.T:].any()
 
     def test_first_failure_in_input_order_raises_after_the_rows_before_it(self):
         # the T = 700 row overflows at its start; the rows before it yield

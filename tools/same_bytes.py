@@ -32,6 +32,8 @@ COMMANDS = (
     "simulate --preset fig4 --samples 100000",
     "simulate --preset fig4 --samples 1000000",   # forks where two CPUs are usable
     "sweep --preset fig3 --param sigma_d2 --values 0,0.05",
+    "sweep --param q --values 1,-1",   # exits 1 after writing policy_q_1.csv
+    "compare --horizons 2,4000 --samples 4",   # exits 1: T = 4000 overflows after T = 2
 )
 
 
